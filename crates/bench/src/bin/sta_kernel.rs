@@ -6,15 +6,14 @@
 //!
 //! * `scalar` — the reference analyzer (`Sta::analyze_reference`): per-gate
 //!   pointer-chasing sweeps, exactly the pre-kernel engine;
-//! * `levelized ×1` — the batched struct-of-arrays kernel, single thread;
-//! * `levelized ×N` — the same kernel with within-level parallelism;
+//! * `levelized` — the batched struct-of-arrays kernel (`Sta::analyze`);
 //! * `update` — dirty-cone updates of an [`IncrementalSta`] under a seeded
-//!   stream of single-gate resizes, 1 thread vs N threads.
+//!   stream of single-gate resizes.
 //!
 //! Every timed variant is also checked for **bit-identity** against the
 //! scalar reference — the harness is a correctness gate as much as a timer.
 //!
-//! Usage: `sta_kernel [--smoke] [--threads N] [--iters N] [--designs N]`
+//! Usage: `sta_kernel [--smoke] [--iters N] [--designs N]`
 //!
 //! `--smoke` reduces iteration counts and *asserts* that the levelized full
 //! sweep is not slower than the scalar reference on the largest design
@@ -27,34 +26,22 @@ use rapids_celllib::Library;
 use rapids_circuits::{benchmark, suite_names};
 use rapids_netlist::{GateId, Network};
 use rapids_placement::{place, Placement, PlacerConfig};
-use rapids_timing::{levelized, IncrementalSta, Sta, TimingConfig, TimingReport};
+use rapids_timing::{IncrementalSta, Sta, TimingConfig, TimingReport};
 
 struct Args {
     smoke: bool,
-    threads: usize,
     iters: usize,
     designs: usize,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        iters: 15,
-        designs: 3,
-    };
+    let mut args = Args { smoke: false, iters: 15, designs: 3 };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => {
                 args.smoke = true;
                 args.iters = 5;
-            }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs a number"));
             }
             "--iters" => {
                 args.iters = it
@@ -69,7 +56,7 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| die("--designs needs a number"));
             }
             "--help" | "-h" => {
-                eprintln!("usage: sta_kernel [--smoke] [--threads N] [--iters N] [--designs N]");
+                eprintln!("usage: sta_kernel [--smoke] [--iters N] [--designs N]");
                 std::process::exit(0);
             }
             other => die(&format!("unknown argument `{other}`")),
@@ -127,20 +114,12 @@ fn main() {
     designs.truncate(args.designs.max(1));
 
     println!(
-        "sta_kernel: full-sweep + dirty-cone timings, {} iters, {} threads (smoke={})",
-        args.iters, args.threads, args.smoke
+        "sta_kernel: full-sweep + dirty-cone timings, {} iters (smoke={})",
+        args.iters, args.smoke
     );
     println!(
-        "{:<10} {:>7}  {:>11} {:>13} {:>13}  {:>8} {:>7}  {:>11} {:>11}",
-        "design",
-        "gates",
-        "scalar_ms",
-        "lev_x1_ms",
-        "lev_xN_ms",
-        "speedup",
-        "dedup",
-        "upd_x1_ms",
-        "upd_xN_ms",
+        "{:<10} {:>7}  {:>11} {:>11}  {:>8}  {:>11}",
+        "design", "gates", "scalar_ms", "lev_ms", "speedup", "update_ms",
     );
 
     let mut smoke_ok = true;
@@ -151,72 +130,44 @@ fn main() {
         let (scalar_best, _, scalar_report) = time_runs(args.iters, || {
             Sta::analyze_reference(network, &library, &placement, &timing)
         });
-        let (lev1_best, _, lev1_report) =
+        let (lev_best, _, lev_report) =
             time_runs(args.iters, || Sta::analyze(network, &library, &placement, &timing));
-        let (levn_best, _, levn_report) = time_runs(args.iters, || {
-            Sta::analyze_with_threads(network, &library, &placement, &timing, args.threads)
-        });
-        assert_identical(network, &scalar_report, &lev1_report, "levelized x1");
-        assert_identical(network, &scalar_report, &levn_report, "levelized xN");
-        let (_, stats) = levelized::analyze_with_stats(network, &library, &placement, &timing, 1);
+        assert_identical(network, &scalar_report, &lev_report, "levelized");
 
         // Dirty-cone updates under a seeded resize stream (the sizing
         // workload shape): each step resizes one logic gate and re-times.
         let gates: Vec<GateId> = network.iter_logic().collect();
         let steps = if args.smoke { 40 } else { 200 };
-        let update_time = |threads: usize| {
-            let mut n = network.clone();
-            let mut inc =
-                IncrementalSta::new_with_threads(&n, &library, &placement, &timing, threads);
-            let mut rng: u64 = 0x5eed;
-            let start = Instant::now();
-            for step in 0..steps {
-                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let g = gates[(rng >> 33) as usize % gates.len()];
-                n.gate_mut(g).size_class = (step % 4) as u8;
-                inc.update(&n, &library, &placement, &[g]);
-            }
-            let dt = start.elapsed().as_secs_f64();
-            (dt, inc)
-        };
-        let (upd1_s, inc1) = update_time(1);
-        let (updn_s, incn) = update_time(args.threads);
-        // The two engines walked the same stream: states must agree with
-        // each other and with a from-scratch reference analysis.
-        {
-            let mut n = network.clone();
-            let mut rng: u64 = 0x5eed;
-            for step in 0..steps {
-                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let g = gates[(rng >> 33) as usize % gates.len()];
-                n.gate_mut(g).size_class = (step % 4) as u8;
-            }
-            inc1.verify_matches_full(&n, &library, &placement)
-                .expect("serial incremental state must match the reference analysis");
-            assert_identical(&n, inc1.report(), incn.report(), "update x1 vs xN");
-            assert_eq!(inc1.stats(), incn.stats(), "thread count changed the retimed set");
+        let mut n = network.clone();
+        let mut inc = IncrementalSta::new(&n, &library, &placement, &timing);
+        let mut rng: u64 = 0x5eed;
+        let start = Instant::now();
+        for step in 0..steps {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let g = gates[(rng >> 33) as usize % gates.len()];
+            n.gate_mut(g).size_class = (step % 4) as u8;
+            inc.update(&n, &library, &placement, &[g]);
         }
+        let update_s = start.elapsed().as_secs_f64();
+        inc.verify_matches_full(&n, &library, &placement)
+            .expect("incremental state must match the reference analysis");
 
-        let speedup = scalar_best / lev1_best;
         println!(
-            "{:<10} {:>7}  {:>11.3} {:>13.3} {:>13.3}  {:>7.2}x {:>7}  {:>11.3} {:>11.3}",
+            "{:<10} {:>7}  {:>11.3} {:>11.3}  {:>7.2}x  {:>11.3}",
             name,
             network.live_gate_count(),
             scalar_best * 1e3,
-            lev1_best * 1e3,
-            levn_best * 1e3,
-            speedup,
-            stats.dedup_reused,
-            upd1_s * 1e3,
-            updn_s * 1e3,
+            lev_best * 1e3,
+            scalar_best / lev_best,
+            update_s * 1e3,
         );
 
         // Smoke gate: on the largest design the levelized sweep must not be
         // slower than the scalar reference (1.5x margin for machine noise).
-        if args.smoke && i == 0 && lev1_best > scalar_best * 1.5 {
+        if args.smoke && i == 0 && lev_best > scalar_best * 1.5 {
             eprintln!(
                 "SMOKE FAIL: levelized full sweep ({:.3} ms) slower than 1.5x scalar ({:.3} ms) on {name}",
-                lev1_best * 1e3,
+                lev_best * 1e3,
                 scalar_best * 1e3
             );
             smoke_ok = false;

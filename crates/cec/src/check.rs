@@ -25,7 +25,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rapids_netlist::topo::topological_order;
-use rapids_netlist::{GateType, Network};
+use rapids_netlist::{GateId, GateType, Network};
 use rapids_sim::Simulator;
 use rapids_sizing::CancelToken;
 
@@ -244,16 +244,7 @@ pub fn check_equivalence_with_stats(
             if node_var[slit.node() as usize].is_some() {
                 continue; // structurally shared with an already-encoded gate
             }
-            // Reserve the variable first so `lit_of` sees it.
-            let v = builder.solver_mut().new_var();
-            node_var[slit.node() as usize] = Some(v);
-            let out = lit_of(&node_var, const_var, slit);
-            let fanins: Vec<Lit> = gate
-                .fanins
-                .iter()
-                .map(|f| lit_of(&node_var, const_var, gate_map[f.index()]))
-                .collect();
-            builder.gate_clauses(out, gate.gtype, &fanins);
+            encode_gate(&mut builder, &mut node_var, const_var, net, gate_map, g);
         }
         clauses += builder.clauses;
     }
@@ -332,6 +323,53 @@ fn stats_from_solver(stats: &mut CecStats, solver: &Solver, clauses: u64) {
     registry.counter("cec.restarts").add(solver.stats.restarts);
     registry.counter("cec.sweep_candidates").add(stats.sweep_candidates);
     registry.counter("cec.sweep_proven").add(stats.sweep_proven);
+}
+
+/// Tseitin-encodes logic gate `root`, whose node has no variable yet.
+///
+/// The needed cone follows DAG fan-ins, but [`Dag::mk_xor`] cancels an
+/// operand pair `x, ¬x` that the gate still reads through its network
+/// fan-ins.  A fan-in without a variable is therefore encoded first, depth
+/// first, through the gate that defines it; when every fan-in already has
+/// a variable — every cone without such a cancellation — this is exactly
+/// the in-order encoding of `root` alone.
+fn encode_gate(
+    builder: &mut CnfBuilder,
+    node_var: &mut [Option<Var>],
+    const_var: Var,
+    net: &Network,
+    gate_map: &[Slit],
+    root: GateId,
+) {
+    let mut stack = vec![root];
+    while let Some(&g) = stack.last() {
+        let gate = net.gate(g);
+        let missing = gate.fanins.iter().copied().find(|f| {
+            let s = gate_map[f.index()];
+            !s.is_const() && node_var[s.node() as usize].is_none()
+        });
+        if let Some(mut f) = missing {
+            // BUF/INV share their driver's node: descend to the gate that
+            // defines it.
+            while matches!(net.gate(f).gtype, GateType::Buf | GateType::Inv) {
+                f = net.gate(f).fanins[0];
+            }
+            stack.push(f);
+            continue;
+        }
+        stack.pop();
+        let slit = gate_map[g.index()];
+        if node_var[slit.node() as usize].is_some() {
+            continue; // shared with a fan-in encoded on demand
+        }
+        // Reserve the variable first so `lit_of` sees it.
+        let v = builder.solver_mut().new_var();
+        node_var[slit.node() as usize] = Some(v);
+        let out = lit_of(node_var, const_var, slit);
+        let fanins: Vec<Lit> =
+            gate.fanins.iter().map(|f| lit_of(node_var, const_var, gate_map[f.index()])).collect();
+        builder.gate_clauses(out, gate.gtype, &fanins);
+    }
 }
 
 /// The solver literal of a canonical reference.

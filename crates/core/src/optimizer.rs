@@ -289,13 +289,7 @@ impl Optimizer {
         // position comparison; it is maintained (or dropped and re-proved)
         // automatically across edits.
         network.refresh_topo_hint();
-        let mut inc = IncrementalSta::new_with_threads(
-            network,
-            library,
-            placement,
-            timing,
-            self.config.threads,
-        );
+        let mut inc = IncrementalSta::new(network, library, placement, timing);
         let initial_delay_ns = inc.report().critical_delay_ns();
         let initial_area_um2 = library.network_area_um2(network);
         let initial_hpwl_um = placement.total_hpwl_um(network);

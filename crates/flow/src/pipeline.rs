@@ -565,13 +565,7 @@ impl Pipeline {
 
         let start = Instant::now();
         let sta_span = rapids_obs::span("stage.sta");
-        let initial_timing = Sta::analyze_with_threads(
-            &network,
-            &library,
-            &placement,
-            &self.config.timing,
-            self.config.threads.max(1),
-        );
+        let initial_timing = Sta::analyze(&network, &library, &placement, &self.config.timing);
         drop(sta_span);
         timings.sta_s = start.elapsed().as_secs_f64();
 

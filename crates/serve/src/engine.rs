@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rapids_flow::netlist::Network;
@@ -27,6 +27,7 @@ use crate::job::{Job, JobSource};
 use crate::report::{DesignQor, JobOutcome, JobReport, VerifyVerdict};
 use crate::retry::{is_transient_io, with_backoff, BackoffPolicy};
 use crate::store::ResultStore;
+use crate::timer::Timer;
 
 /// The bounded LRU result cache (unbounded when `capacity` is `None`).
 ///
@@ -406,8 +407,7 @@ impl Engine {
         self.optimizer_runs.inc();
         let run_span = rapids_obs::span("serve.run");
         let token = CancelToken::new();
-        let watchdog =
-            job.timeout_s.map(|secs| Watchdog::arm(token.clone(), Duration::from_secs_f64(secs)));
+        let watchdog = job.timeout_s.map(|secs| arm_watchdog(&token, secs));
         let comparison = catch_unwind(AssertUnwindSafe(|| {
             self.faults
                 .fire(FaultPoint::JobRun, Some(&job.name), Some(&token))
@@ -516,8 +516,7 @@ impl Engine {
         self.verify_runs.inc();
         let run_span = rapids_obs::span("serve.run");
         let token = CancelToken::new();
-        let watchdog =
-            job.timeout_s.map(|secs| Watchdog::arm(token.clone(), Duration::from_secs_f64(secs)));
+        let watchdog = job.timeout_s.map(|secs| arm_watchdog(&token, secs));
         let cec_config = rapids_flow::cec::CecConfig {
             cancel: Some(token.clone()),
             ..rapids_flow::cec::CecConfig::default()
@@ -570,51 +569,16 @@ impl Engine {
     }
 }
 
-/// A per-job deadline guard: a thread that cancels the job's token when
-/// the deadline passes, and exits promptly (on drop) when the job finishes
-/// first.  Purely time-based — it never inspects results, so it cannot
-/// change what a within-deadline job reports.
-#[derive(Debug)]
-struct Watchdog {
-    state: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    fn arm(token: CancelToken, timeout: Duration) -> Watchdog {
-        let state = Arc::new((Mutex::new(false), Condvar::new()));
-        let shared = Arc::clone(&state);
-        let handle = std::thread::spawn(move || {
-            let deadline = Instant::now() + timeout;
-            let (done, wake) = &*shared;
-            let mut done = done.lock().expect("watchdog lock poisoned");
-            loop {
-                if *done {
-                    return;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    token.cancel();
-                    return;
-                }
-                let (next, _) =
-                    wake.wait_timeout(done, deadline - now).expect("watchdog lock poisoned");
-                done = next;
-            }
-        });
-        Watchdog { state, handle: Some(handle) }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        let (done, wake) = &*self.state;
-        *done.lock().expect("watchdog lock poisoned") = true;
-        wake.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+/// A per-job deadline guard: a timer that cancels the job's token when the
+/// deadline passes, and is stopped (on drop) when the job finishes first.
+/// Purely time-based — it never inspects results, so it cannot change what
+/// a within-deadline job reports.
+fn arm_watchdog(token: &CancelToken, timeout_s: f64) -> Timer {
+    let token = token.clone();
+    Timer::spawn(Duration::from_secs_f64(timeout_s), move || {
+        token.cancel();
+        false
+    })
 }
 
 /// Fingerprint of a job *spec* whose circuit content is fully determined

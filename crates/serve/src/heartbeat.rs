@@ -2,21 +2,22 @@
 //! reports progress every period while a long batch runs.
 //!
 //! Extracted from the `rapids-serve` binary so the cadence logic is
-//! testable and shared.  Like `Engine`'s deadline watchdog and the
-//! telemetry [`WallClockSampler`](crate::telemetry::WallClockSampler),
-//! the thread sleeps on a condvar deadline rather than poll-sleeping, so
-//! dropping the handle wakes and joins it immediately — even mid-period
-//! with an hour-long cadence.
+//! testable and shared.  It runs on the crate's stoppable timer thread
+//! (shared with `Engine`'s deadline watchdog and the telemetry
+//! [`WallClockSampler`](crate::telemetry::WallClockSampler)), so dropping
+//! the handle wakes and joins it immediately — even mid-period with an
+//! hour-long cadence.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
+
+use crate::timer::Timer;
 
 /// A live heartbeat thread; dropping it stops and joins the thread.
 #[derive(Debug)]
 pub struct Heartbeat {
-    state: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    _timer: Timer,
 }
 
 impl Heartbeat {
@@ -29,46 +30,19 @@ impl Heartbeat {
         completed: Arc<AtomicUsize>,
         mut emit: impl FnMut(usize, usize) + Send + 'static,
     ) -> Heartbeat {
-        let period = period.max(Duration::from_millis(1));
-        let state = Arc::new((Mutex::new(false), Condvar::new()));
-        let shared = Arc::clone(&state);
-        let handle = std::thread::spawn(move || {
-            let (stop, wake) = &*shared;
-            let mut next = Instant::now() + period;
-            let mut stop = stop.lock().expect("heartbeat lock poisoned");
-            loop {
-                if *stop {
-                    return;
-                }
-                let now = Instant::now();
-                if now >= next {
-                    emit(completed.load(Ordering::Relaxed), total);
-                    next += period;
-                    continue;
-                }
-                let (next_guard, _) =
-                    wake.wait_timeout(stop, next - now).expect("heartbeat lock poisoned");
-                stop = next_guard;
-            }
+        let timer = Timer::spawn(period.max(Duration::from_millis(1)), move || {
+            emit(completed.load(Ordering::Relaxed), total);
+            true
         });
-        Heartbeat { state, handle: Some(handle) }
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        let (stop, wake) = &*self.state;
-        *stop.lock().expect("heartbeat lock poisoned") = true;
-        wake.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        Heartbeat { _timer: timer }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+    use std::time::Instant;
 
     #[test]
     fn beats_carry_progress_and_stop_on_drop() {

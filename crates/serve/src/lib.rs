@@ -58,6 +58,7 @@ pub mod retry;
 pub mod server;
 pub mod store;
 pub mod telemetry;
+mod timer;
 
 pub use engine::Engine;
 pub use faults::{FaultAction, FaultPlan, FaultPoint};
@@ -66,6 +67,6 @@ pub use ingest::{discover_blif_files, jobs_from_blif_dir, jobs_from_jsonl, suite
 pub use job::{Job, JobSource, JobStatus};
 pub use report::{DesignQor, JobOutcome, JobReport, VerifyVerdict};
 pub use retry::{with_backoff, BackoffPolicy};
-pub use server::{BatchServer, BatchSummary, CancelFlag};
+pub use server::{BatchServer, BatchSummary};
 pub use store::ResultStore;
 pub use telemetry::{Journal, TelemetryConfig, TelemetryPlane, WallClockSampler};

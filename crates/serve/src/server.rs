@@ -6,37 +6,14 @@
 //! worker count changes is completion order.  Callers that need canonical
 //! output sort the lines ([`crate::report::canonical_sort`]).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
+
+use rapids_flow::CancelToken;
 
 use crate::engine::Engine;
 use crate::job::{Job, JobStatus};
 use crate::report::JobReport;
-
-/// A cooperative cancellation flag shared between a running batch and
-/// whoever wants to stop it (a signal handler, the TCP front end, a test).
-///
-/// Cancellation is *graceful*: workers finish the job they are on and stop
-/// picking up new ones; jobs never started stay `Queued`.
-#[derive(Debug, Clone, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
-
-impl CancelFlag {
-    /// A fresh, un-cancelled flag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation (idempotent).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// What a finished (or cancelled) batch looked like.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,14 +59,17 @@ impl BatchServer {
     /// job finishes (completion order).  Blocks until every job has
     /// finished or, after cancellation, until in-flight jobs drain.
     pub fn run_streaming<F: FnMut(&JobReport)>(&self, jobs: &[Job], on_result: F) -> BatchSummary {
-        self.run_streaming_with_cancel(jobs, &CancelFlag::new(), on_result)
+        self.run_streaming_with_cancel(jobs, &CancelToken::new(), on_result)
     }
 
-    /// [`BatchServer::run_streaming`] with an external cancellation flag.
+    /// [`BatchServer::run_streaming`] with an external cancellation token.
+    ///
+    /// Cancellation is *graceful*: workers finish the job they are on and
+    /// stop picking up new ones; jobs never started stay `Queued`.
     pub fn run_streaming_with_cancel<F: FnMut(&JobReport)>(
         &self,
         jobs: &[Job],
-        cancel: &CancelFlag,
+        cancel: &CancelToken,
         mut on_result: F,
     ) -> BatchSummary {
         let statuses: Vec<Mutex<JobStatus>> =
@@ -191,7 +171,7 @@ mod tests {
         let s = server(2);
         let base = s.engine().base_config().clone();
         let jobs = vec![Job::suite("c432", &base), Job::suite("alu2", &base)];
-        let cancel = CancelFlag::new();
+        let cancel = CancelToken::new();
         cancel.cancel();
         let summary = s.run_streaming_with_cancel(&jobs, &cancel, |_| {});
         assert_eq!(summary.skipped, 2);
@@ -208,7 +188,7 @@ mod tests {
         // before the callback's cancel becomes visible.
         let jobs: Vec<Job> =
             ["c432", "alu2", "c499", "c1908"].iter().map(|n| Job::suite(*n, &base)).collect();
-        let cancel = CancelFlag::new();
+        let cancel = CancelToken::new();
         let mut seen = 0;
         let summary = s.run_streaming_with_cancel(&jobs, &cancel, |_| {
             seen += 1;

@@ -27,14 +27,15 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use rapids_obs::timeseries::number;
 use rapids_obs::{Alert, Cusum, CusumConfig, Sampler, SamplerConfig, SloConfig, SloTracker};
 use rapids_obs::{Registry, TickSample};
 
 use crate::fingerprint::fnv1a;
+use crate::timer::Timer;
 
 /// Most recent alerts retained for the `{"cmd":"alerts"}` verb; older
 /// ones fall off (the journal keeps the full history).
@@ -226,48 +227,17 @@ impl TelemetryPlane {
 /// stay byte-reproducible under test.
 #[derive(Debug)]
 pub struct WallClockSampler {
-    state: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    _timer: Timer,
 }
 
 impl WallClockSampler {
     /// Spawns the sampling thread (first tick one `period` from now).
     pub fn spawn(plane: Arc<TelemetryPlane>, period: Duration) -> WallClockSampler {
-        let state = Arc::new((Mutex::new(false), Condvar::new()));
-        let shared = Arc::clone(&state);
-        let handle = std::thread::spawn(move || {
-            let (stop, wake) = &*shared;
-            let mut next = Instant::now() + period;
-            let mut stop = stop.lock().expect("sampler lock poisoned");
-            loop {
-                if *stop {
-                    return;
-                }
-                let now = Instant::now();
-                if now >= next {
-                    drop(stop);
-                    plane.tick_now();
-                    next += period;
-                    stop = shared.0.lock().expect("sampler lock poisoned");
-                    continue;
-                }
-                let (next_guard, _) =
-                    wake.wait_timeout(stop, next - now).expect("sampler lock poisoned");
-                stop = next_guard;
-            }
+        let timer = Timer::spawn(period, move || {
+            plane.tick_now();
+            true
         });
-        WallClockSampler { state, handle: Some(handle) }
-    }
-}
-
-impl Drop for WallClockSampler {
-    fn drop(&mut self) {
-        let (stop, wake) = &*self.state;
-        *stop.lock().expect("sampler lock poisoned") = true;
-        wake.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        WallClockSampler { _timer: timer }
     }
 }
 
@@ -438,6 +408,7 @@ fn line_checksum_valid(line: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn temp_journal(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir();

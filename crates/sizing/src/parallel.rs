@@ -33,13 +33,6 @@
 //!   worker clones) always host at the co-located position and never read
 //!   the shared occupancy.  Nudged positions therefore agree for every
 //!   thread count by construction.
-//! * **Within-level STA parallelism is bit-identical.**  The levelized
-//!   STA kernel (`rapids_timing::levelized`) may split a level's gates
-//!   across scoped threads; gates within a level are independent (all
-//!   fan-ins live in strictly lower levels) and each gate's fold over its
-//!   own pins runs in the same order on every thread count, so arrivals,
-//!   required times and the reports built from them are bit-identical for
-//!   any `threads` value — full sweeps and dirty-cone updates alike.
 //! * **Thread-per-design sharding** (`table1 --threads`,
 //!   `run_suite_threaded`) returns results in input order regardless of
 //!   completion order, so whole-suite reports are bit-identical for every

@@ -137,13 +137,7 @@ impl GateSizer {
         // inserted inverters; sizing never touches it, so a private copy
         // keeps the caller's placement provably frozen.
         let mut placement = placement.clone();
-        let mut inc = IncrementalSta::new_with_threads(
-            network,
-            library,
-            &placement,
-            timing,
-            self.config.threads,
-        );
+        let mut inc = IncrementalSta::new(network, library, &placement, timing);
         self.optimize_with(network, library, &mut placement, timing, &mut inc)
     }
 

@@ -17,9 +17,7 @@
 //!   value is bit-identical to the stored one.  Because a gate's sinks sit
 //!   at strictly higher levels (and its drivers at strictly lower ones), a
 //!   bucket can never grow while it drains, and every dirty gate is
-//!   evaluated exactly once — no priority queue needed.  Large buckets
-//!   evaluate their slice in parallel chunks (per-slot scratch writes,
-//!   serial scatter), bit-identical for any thread count.
+//!   evaluated exactly once — no priority queue needed.
 //!
 //! # Compiled-view lifecycle (invalidation rules)
 //!
@@ -48,11 +46,9 @@ use rapids_celllib::Library;
 use rapids_netlist::{GateId, Network};
 use rapids_placement::Placement;
 
-use crate::levelized::{
-    analyze_with_view, refresh_parasitics_fast, LevelizedView, MIN_PARALLEL_ITEMS,
-};
+use crate::levelized::{analyze_with_view, refresh_parasitics_fast, LevelizedView};
 use crate::rc::TimingConfig;
-use crate::sta::{arrival_of, clamp_required, required_raw_of, ArrivalTime, Sta, TimingReport};
+use crate::sta::{arrival_of, clamp_required, required_raw_of, Sta, TimingReport};
 
 /// Counters describing how much work the engine has done (useful for tests
 /// and perf reporting).
@@ -71,9 +67,7 @@ pub struct IncrementalStats {
 /// [`IncrementalStats`].  The per-engine struct stays the public API (it
 /// isolates one engine's work, which `merged` and the bench JSON rely
 /// on); the global counters aggregate every engine in the process for
-/// the `rapids-obs` snapshot.  Mirroring at the increment site — rather
-/// than making the struct fields registry views — keeps per-engine
-/// equality assertions (`serial.stats() == threaded.stats()`) exact.
+/// the `rapids-obs` snapshot.
 #[derive(Debug, Clone)]
 struct TimingCounters {
     full_refreshes: rapids_obs::Counter,
@@ -117,7 +111,6 @@ impl SelfCheck {
 #[derive(Debug, Clone)]
 pub struct IncrementalSta {
     config: TimingConfig,
-    threads: usize,
     report: TimingReport,
     /// Compiled level-bucketed view; see the module docs for when it is
     /// recompiled versus reused.
@@ -128,39 +121,23 @@ pub struct IncrementalSta {
 }
 
 impl IncrementalSta {
-    /// Builds the engine by running a full analysis (single-threaded
-    /// sweeps; see [`IncrementalSta::new_with_threads`]).
+    /// Builds the engine by running a full analysis.
     pub fn new(
         network: &Network,
         library: &Library,
         placement: &Placement,
         config: &TimingConfig,
     ) -> Self {
-        Self::new_with_threads(network, library, placement, config, 1)
-    }
-
-    /// Builds the engine with within-level parallelism for its sweeps.  The
-    /// thread count never changes a single bit of any result — it only
-    /// splits per-level work into per-slot chunks (see [`crate::levelized`]).
-    pub fn new_with_threads(
-        network: &Network,
-        library: &Library,
-        placement: &Placement,
-        config: &TimingConfig,
-        threads: usize,
-    ) -> Self {
         let mut view =
             LevelizedView::build(network).expect("incremental timing requires an acyclic network");
-        let threads = threads.max(1);
         let counters = TimingCounters::from_global();
         let report = {
             let _span = rapids_obs::span("sta.full");
-            analyze_with_view(&mut view, network, library, placement, config, threads)
+            analyze_with_view(&mut view, network, library, placement, config)
         };
         counters.full_refreshes.inc();
         IncrementalSta {
             config: *config,
-            threads,
             report,
             view,
             stats: IncrementalStats { full_refreshes: 1, ..IncrementalStats::default() },
@@ -221,14 +198,7 @@ impl IncrementalSta {
     pub fn full(&mut self, network: &Network, library: &Library, placement: &Placement) {
         let _span = rapids_obs::span("sta.full");
         self.rebuild_view(network);
-        self.report = analyze_with_view(
-            &mut self.view,
-            network,
-            library,
-            placement,
-            &self.config,
-            self.threads,
-        );
+        self.report = analyze_with_view(&mut self.view, network, library, placement, &self.config);
         self.stats.full_refreshes += 1;
         self.counters.full_refreshes.inc();
     }
@@ -356,46 +326,23 @@ impl IncrementalSta {
                 enqueue(s, &mut buckets, &mut queued, &self.view);
             }
         }
-        let mut scratch: Vec<ArrivalTime> = Vec::new();
         for l in 0..buckets.len() {
             let bucket = std::mem::take(&mut buckets[l]);
             if bucket.is_empty() {
                 continue;
             }
-            // Evaluate the dirty slice of this level (in parallel chunks
-            // when it is large: per-slot scratch writes, serial scatter, so
-            // any thread count is bit-identical), then prune and seed the
-            // next levels serially.
-            scratch.clear();
-            if self.threads > 1 && bucket.len() >= MIN_PARALLEL_ITEMS {
-                scratch.resize(bucket.len(), ArrivalTime::default());
-                let chunk = bucket.len().div_ceil(self.threads);
-                let nets = &self.report.net_delays;
-                let delays = &self.report.gate_delays;
-                let arrival = &self.report.arrival;
-                std::thread::scope(|s| {
-                    for (gates, out) in bucket.chunks(chunk).zip(scratch.chunks_mut(chunk)) {
-                        s.spawn(move || {
-                            for (&g, slot) in gates.iter().zip(out.iter_mut()) {
-                                *slot = arrival_of(network, g, nets, delays, arrival);
-                            }
-                        });
-                    }
-                });
-            } else {
-                scratch.extend(bucket.iter().map(|&g| {
-                    arrival_of(
-                        network,
-                        g,
-                        &self.report.net_delays,
-                        &self.report.gate_delays,
-                        &self.report.arrival,
-                    )
-                }));
-            }
             self.stats.gates_retimed += bucket.len();
             self.counters.gates_retimed.add(bucket.len() as u64);
-            for (&g, &fresh) in bucket.iter().zip(&scratch) {
+            // Gates of one level read only lower levels, so each fresh
+            // arrival is stored (or pruned) as soon as it is computed.
+            for g in bucket {
+                let fresh = arrival_of(
+                    network,
+                    g,
+                    &self.report.net_delays,
+                    &self.report.gate_delays,
+                    &self.report.arrival,
+                );
                 let slot = &mut self.report.arrival[g.index()];
                 if fresh != *slot {
                     *slot = fresh;
@@ -452,51 +399,17 @@ impl IncrementalSta {
                     enqueue(f, &mut buckets, &mut queued, &self.view);
                 }
             }
-            let mut scratch: Vec<f64> = Vec::new();
             for l in (0..buckets.len()).rev() {
-                let bucket = std::mem::take(&mut buckets[l]);
-                if bucket.is_empty() {
-                    continue;
-                }
-                scratch.clear();
-                if self.threads > 1 && bucket.len() >= MIN_PARALLEL_ITEMS {
-                    scratch.resize(bucket.len(), f64::INFINITY);
-                    let chunk = bucket.len().div_ceil(self.threads);
-                    let nets = &self.report.net_delays;
-                    let delays = &self.report.gate_delays;
-                    let required_raw = &self.report.required_raw;
-                    let view = &self.view;
-                    std::thread::scope(|s| {
-                        for (gates, out) in bucket.chunks(chunk).zip(scratch.chunks_mut(chunk)) {
-                            s.spawn(move || {
-                                for (&g, slot) in gates.iter().zip(out.iter_mut()) {
-                                    *slot = required_raw_of(
-                                        network,
-                                        g,
-                                        nets,
-                                        delays,
-                                        required_raw,
-                                        view.drives_output(g),
-                                        t,
-                                    );
-                                }
-                            });
-                        }
-                    });
-                } else {
-                    scratch.extend(bucket.iter().map(|&g| {
-                        required_raw_of(
-                            network,
-                            g,
-                            &self.report.net_delays,
-                            &self.report.gate_delays,
-                            &self.report.required_raw,
-                            self.view.drives_output(g),
-                            t,
-                        )
-                    }));
-                }
-                for (&g, &fresh) in bucket.iter().zip(&scratch) {
+                for g in std::mem::take(&mut buckets[l]) {
+                    let fresh = required_raw_of(
+                        network,
+                        g,
+                        &self.report.net_delays,
+                        &self.report.gate_delays,
+                        &self.report.required_raw,
+                        self.view.drives_output(g),
+                        t,
+                    );
                     let slot = &mut self.report.required_raw[g.index()];
                     // NaN-free domain: raw values are +INF or finite chains
                     // of finite delays, so bitwise comparison is a sound
@@ -617,6 +530,14 @@ mod tests {
         inc.update(&n, &lib, &p, &[m1]);
         assert_eq!(inc.stats().incremental_updates, 1);
         inc.verify_matches_full(&n, &lib, &p).unwrap();
+        // Then every logic gate in turn, cycling through three strengths.
+        let classes = [DriveStrength::X8, DriveStrength::X2, DriveStrength::X4];
+        let gates: Vec<_> = n.iter_logic().collect();
+        for (step, &g) in gates.iter().enumerate() {
+            n.gate_mut(g).size_class = classes[step % classes.len()].size_class();
+            inc.update(&n, &lib, &p, &[g]);
+            inc.verify_matches_full(&n, &lib, &p).unwrap();
+        }
     }
 
     #[test]
@@ -715,25 +636,5 @@ mod tests {
             n.gate_mut(g).size_class = c.size_class();
             inc.update(&n, &lib, &p, &[g]);
         }
-    }
-
-    #[test]
-    fn threaded_engine_is_bit_identical_to_serial() {
-        let mut n = diamond();
-        let (p, lib, cfg) = setup(&n);
-        let mut serial = IncrementalSta::new(&n, &lib, &p, &cfg);
-        let mut threaded = IncrementalSta::new_with_threads(&n, &lib, &p, &cfg, 4);
-        let classes = [DriveStrength::X8, DriveStrength::X2, DriveStrength::X4];
-        let gates: Vec<_> = n.iter_logic().collect();
-        for (step, &g) in gates.iter().enumerate() {
-            n.gate_mut(g).size_class = classes[step % classes.len()].size_class();
-            serial.update(&n, &lib, &p, &[g]);
-            threaded.update(&n, &lib, &p, &[g]);
-        }
-        for g in n.iter_live() {
-            assert_eq!(serial.report().arrival(g), threaded.report().arrival(g));
-            assert_eq!(serial.report().required(g), threaded.report().required(g));
-        }
-        assert_eq!(serial.stats(), threaded.stats());
     }
 }

@@ -43,6 +43,6 @@ pub use cache::NetCache;
 pub use elmore::{net_delays, NetDelays};
 pub use gate_delay::{gate_load_pf, gate_output_delay};
 pub use incremental::{IncrementalSta, IncrementalStats};
-pub use levelized::{LevelizedView, SweepStats};
+pub use levelized::LevelizedView;
 pub use rc::{segment_capacitance_pf, segment_resistance_kohm, TimingConfig};
 pub use sta::{ArrivalTime, Sta, TimingReport};

@@ -28,7 +28,7 @@ use rapids_circuits::generators::random_logic::{random_logic, RandomLogicConfig}
 use rapids_circuits::{map_to_library, suite_names};
 use rapids_core::OptimizerKind;
 use rapids_flow::{CircuitSource, Pipeline, PipelineConfig, SafetyNet};
-use rapids_netlist::{GateId, GateType, Network, PinRef};
+use rapids_netlist::{GateId, GateType, Network, NetworkBuilder, PinRef};
 use rapids_sim::{check_equivalence_exhaustive, check_equivalence_random, Simulator};
 
 // ---------------------------------------------------------------------------
@@ -303,6 +303,58 @@ fn simulation_safety_net_does_not_claim_proof() {
     let report = pipeline.run(CircuitSource::suite("alu2")).unwrap();
     assert!(report.equivalence_verified);
     assert!(!report.equivalence_proven, "simulation must not be reported as a proof");
+}
+
+// ---------------------------------------------------------------------------
+// Encoder regression: XOR operands cancelled by the structural front end
+// ---------------------------------------------------------------------------
+
+/// `o = XOR(g, ¬g, c, d)` with `g = AND(p, q)`: the DAG cancels the pair
+/// `g, ¬g`, so `g`'s node is outside the needed cone, yet the XOR gate
+/// still reads `g` through its network fan-ins.
+fn cancelled_xor() -> Network {
+    let mut b = NetworkBuilder::new("cancelled_xor");
+    b.inputs(["p", "q", "c", "d"]);
+    b.gate("g", GateType::And, &["p", "q"]);
+    b.gate("ng", GateType::Inv, &["g"]);
+    b.gate("o", GateType::Xor, &["g", "ng", "c", "d"]);
+    b.output("o");
+    b.finish().unwrap()
+}
+
+/// XNOR(c, d) written as `OR(AND(c, d), AND(¬c, ¬d))`, or — with
+/// `first = Or` — the mutant `OR(OR(c, d), AND(¬c, ¬d))`, which is
+/// constant true.
+fn sum_of_products_xnor(first: GateType) -> Network {
+    let mut b = NetworkBuilder::new("sop_xnor");
+    b.inputs(["p", "q", "c", "d"]);
+    b.gate("t1", first, &["c", "d"]);
+    b.gate("nc", GateType::Inv, &["c"]);
+    b.gate("nd", GateType::Inv, &["d"]);
+    b.gate("t2", GateType::And, &["nc", "nd"]);
+    b.gate("o", GateType::Or, &["t1", "t2"]);
+    b.output("o");
+    b.finish().unwrap()
+}
+
+#[test]
+fn cancelled_xor_operands_are_still_encoded() {
+    let a = cancelled_xor();
+    let b = sum_of_products_xnor(GateType::And);
+    assert!(check_equivalence_exhaustive(&a, &b).is_equivalent());
+    let result = check_equivalence(&a, &b, &CecConfig::default());
+    assert!(matches!(result, CecResult::EquivalentProven), "got {result:?}");
+
+    let mutant = sum_of_products_xnor(GateType::Or);
+    let CecResult::NotEquivalent(cex) = check_equivalence(&a, &mutant, &CecConfig::default())
+    else {
+        panic!("the mutated twin must be refuted");
+    };
+    let out_a = Simulator::new(&a).simulate_bools(&a, &cex.inputs);
+    let out_m = Simulator::new(&mutant).simulate_bools(&mutant, &cex.inputs);
+    assert_eq!(out_a[cex.output_index], cex.output_a);
+    assert_eq!(out_m[cex.output_index], cex.output_b);
+    assert_ne!(cex.output_a, cex.output_b, "the simulator must confirm the counterexample");
 }
 
 // ---------------------------------------------------------------------------
