@@ -33,6 +33,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> perfbench unit tests (the benchmark harness builds against the crates' public API)"
+# perfbench/ is a package of its own outside the workspace, so no other
+# step compiles it: this catches a crate change that breaks the benchmark
+# build, including the forwards kept only for it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "==> cargo build --benches (compile-only; benches are excluded from tier-1 runtime)"
 cargo build --benches
 

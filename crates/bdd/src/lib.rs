@@ -2,16 +2,13 @@
 //!
 //! A compact reduced ordered binary decision diagram (ROBDD) package.
 //!
-//! In the RAPIDS reproduction the BDD package plays two roles:
-//!
-//! 1. **Correctness oracle** — after every rewiring move the test-suite can
-//!    check functional equivalence of the original and rewired networks
-//!    exactly (for circuits whose BDDs stay small).
-//! 2. **Baseline symmetry detector** — classical symmetry detection compares
-//!    cofactors ([`symmetry`]), which is what the paper's *easily detectable*
-//!    structural method is contrasted against.  The property tests check that
-//!    every pin pair the structural detector reports is confirmed by the
-//!    cofactor definition.
+//! In the RAPIDS reproduction the BDD package is the **baseline symmetry
+//! detector**: classical symmetry detection compares cofactors
+//! ([`symmetry`]), which is what the paper's *easily detectable* structural
+//! method is contrasted against.  The property tests check that every pin
+//! pair the structural detector reports is confirmed by the cofactor
+//! definition.  Network equivalence is checked elsewhere: by simulation in
+//! `rapids-sim` and by SAT proof in `rapids-cec`.
 //!
 //! ```
 //! use rapids_bdd::Manager;
@@ -30,5 +27,5 @@ pub mod network;
 pub mod symmetry;
 
 pub use manager::{Manager, Ref};
-pub use network::{build_output_bdds, check_equivalence};
+pub use network::build_output_bdds;
 pub use symmetry::{are_equivalence_symmetric, are_nonequivalence_symmetric, SymmetryKind};

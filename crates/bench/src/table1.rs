@@ -6,6 +6,7 @@
 use rapids_circuits::suite_names;
 use rapids_core::BenchmarkRow;
 use rapids_flow::{CircuitSource, FlowComparison, Pipeline, PipelineError, PipelineReport};
+use rapids_obs::json::{escape_string, number};
 
 /// Effort configuration of the evaluation flow.
 ///
@@ -60,9 +61,9 @@ impl OptimizerMetrics {
                 "\"sta_full_retimes\":{},\"sta_update_retimes\":{},",
                 "\"gates_retimed\":{}}}"
             ),
-            json_number(self.cpu_s),
-            json_number(self.final_delay_ns),
-            json_number(self.final_area_um2),
+            number(self.cpu_s),
+            number(self.final_delay_ns),
+            number(self.final_area_um2),
             self.swaps,
             self.es_swaps,
             self.resized,
@@ -186,9 +187,8 @@ impl FlowResult {
 
     /// Serializes the result as a JSON object.
     ///
-    /// Hand-rolled because the build container has no registry access for
-    /// `serde`/`serde_json` (see `vendor/README.md`); the field set is small
-    /// and flat, and every name is a plain identifier.
+    /// Hand-rolled over [`rapids_obs::json`]: the workspace is serde-free
+    /// (see `vendor/README.md`), and the field set is small and flat.
     pub fn to_json(&self) -> String {
         format!(
             concat!(
@@ -200,25 +200,25 @@ impl FlowResult {
                 "\"redundancy_count\":{},\"gsg_swaps\":{},\"gsg_hpwl_percent\":{},",
                 "\"legalized\":{},\"hpwl_um\":{},\"max_displacement_um\":{}}}"
             ),
-            json_string(&self.name),
+            escape_string(&self.name),
             self.gate_count,
-            json_number(self.initial_delay_ns),
-            json_number(self.gsg_percent),
-            json_number(self.gs_percent),
-            json_number(self.combined_percent),
-            json_number(self.gsg_cpu_s),
-            json_number(self.gs_cpu_s),
-            json_number(self.combined_cpu_s),
-            json_number(self.gs_area_percent),
-            json_number(self.combined_area_percent),
-            json_number(self.coverage_percent),
+            number(self.initial_delay_ns),
+            number(self.gsg_percent),
+            number(self.gs_percent),
+            number(self.combined_percent),
+            number(self.gsg_cpu_s),
+            number(self.gs_cpu_s),
+            number(self.combined_cpu_s),
+            number(self.gs_area_percent),
+            number(self.combined_area_percent),
+            number(self.coverage_percent),
             self.largest_inputs,
             self.redundancy_count,
             self.gsg_swaps,
-            json_number(self.gsg_hpwl_percent),
+            number(self.gsg_hpwl_percent),
             self.legalized,
-            json_number(self.hpwl_um),
-            json_number(self.max_displacement_um),
+            number(self.hpwl_um),
+            number(self.max_displacement_um),
         )
     }
 
@@ -230,10 +230,10 @@ impl FlowResult {
                 "{{\"name\":{},\"gate_count\":{},\"initial_delay_ns\":{},",
                 "\"initial_area_um2\":{},\"gsg\":{},\"gs\":{},\"combined\":{}}}"
             ),
-            json_string(&self.name),
+            escape_string(&self.name),
             self.gate_count,
-            json_number(self.initial_delay_ns),
-            json_number(self.initial_area_um2),
+            number(self.initial_delay_ns),
+            number(self.initial_area_um2),
             self.gsg.to_json(),
             self.gs.to_json(),
             self.combined.to_json(),
@@ -253,49 +253,22 @@ impl FlowResult {
                 "\"gsg_es_swaps\":{},\"combined_es_swaps\":{},\"gs_resized\":{},",
                 "\"legalized\":{},\"hpwl_um\":{},\"max_displacement_um\":{}}}"
             ),
-            json_string(&self.name),
+            escape_string(&self.name),
             self.gate_count,
-            json_number(self.initial_delay_ns),
-            json_number(self.gsg.final_delay_ns),
-            json_number(self.gs.final_delay_ns),
-            json_number(self.combined.final_delay_ns),
-            json_number(self.gs.final_area_um2),
-            json_number(self.combined.final_area_um2),
+            number(self.initial_delay_ns),
+            number(self.gsg.final_delay_ns),
+            number(self.gs.final_delay_ns),
+            number(self.combined.final_delay_ns),
+            number(self.gs.final_area_um2),
+            number(self.combined.final_area_um2),
             self.gsg.swaps,
             self.gsg.es_swaps,
             self.combined.es_swaps,
             self.gs.resized,
             self.legalized,
-            json_number(self.hpwl_um),
-            json_number(self.max_displacement_um),
+            number(self.hpwl_um),
+            number(self.max_displacement_um),
         )
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(x: f64) -> String {
-    // JSON has no NaN/Infinity; clamp to null like serde_json's lossy mode.
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -581,11 +554,5 @@ mod tests {
         let a = results_to_qor_json(&run_suite(&["c432"], &config));
         let b = results_to_qor_json(&run_suite(&["c432"], &config));
         assert_eq!(a, b, "QoR report must be deterministic run over run");
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(super::json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(super::json_number(f64::NAN), "null");
     }
 }

@@ -24,7 +24,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use rapids_obs::json::{parse, Value};
+use rapids_obs::json::{escape_string, parse, Value};
 
 /// The series polled every frame, with their board labels.
 const SERIES: &[(&str, &str)] = &[
@@ -165,7 +165,8 @@ impl Client {
             }
         }
         for (name, label) in SERIES {
-            let request = format!("{{\"cmd\":\"series\",\"name\":\"{name}\",\"last\":{last}}}");
+            let request =
+                format!("{{\"cmd\":\"series\",\"name\":{},\"last\":{last}}}", escape_string(name));
             let reply = self.ask(&request)?;
             frame.series.push((name, label, series_points(&reply)));
         }

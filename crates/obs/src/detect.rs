@@ -25,7 +25,7 @@
 //! function of the observed tick sequence, so under the manual-tick
 //! contract alerts are byte-reproducible.
 
-use crate::timeseries::number;
+use crate::json::{escape_string, number};
 
 /// Where a [`Cusum`]'s reference level comes from.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -117,9 +117,9 @@ impl Alert {
     /// `{"kind":…,"series":…,"tick":…,"statistic":…,"baseline":…}`.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"kind\":\"{}\",\"series\":\"{}\",\"tick\":{},\"statistic\":{},\"baseline\":{}}}",
+            "{{\"kind\":\"{}\",\"series\":{},\"tick\":{},\"statistic\":{},\"baseline\":{}}}",
             self.kind.as_str(),
-            escape(&self.series),
+            escape_string(&self.series),
             self.tick,
             number(self.statistic),
             number(self.baseline),
@@ -284,8 +284,8 @@ impl SloTracker {
     /// `{"name":…,"bad":…,"total":…,"burn":…,"target":…,"breached":…}`.
     pub fn status_json(&self) -> String {
         format!(
-            "{{\"name\":\"{}\",\"bad\":{},\"total\":{},\"burn\":{},\"target\":{},\"breached\":{}}}",
-            escape(&self.config.name),
+            "{{\"name\":{},\"bad\":{},\"total\":{},\"burn\":{},\"target\":{},\"breached\":{}}}",
+            escape_string(&self.config.name),
             number(self.bad),
             number(self.total),
             number(self.burn()),
@@ -293,23 +293,6 @@ impl SloTracker {
             self.breached,
         )
     }
-}
-
-/// Escapes a name for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

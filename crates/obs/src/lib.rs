@@ -26,8 +26,10 @@
 //! * [`detect`] runs one-sided CUSUM change detectors and SLO burn
 //!   trackers over those series, emitting structured [`Alert`] records —
 //!   pure functions of the tick sequence, never of the wall clock.
-//! * [`json`] is the one full (nested) JSON reader in the workspace,
-//!   shared by the obs binaries (`trace_check`, `rapids-top`).
+//! * [`json`] is the workspace's one JSON module: the nested reader the
+//!   obs binaries (`trace_check`, `rapids-top`) use, the flat-object check
+//!   of the serve line protocol, and the string and number writers behind
+//!   every JSON artifact.
 //!
 //! See `docs/observability.md` for the metric catalog, the span
 //! hierarchy, the series/alert model, and the determinism contract.

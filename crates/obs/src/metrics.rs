@@ -16,6 +16,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::json::escape_string;
+
 /// A monotonically increasing `u64` counter handle.
 ///
 /// Cloning shares the underlying atomic; updates are relaxed (counters
@@ -391,21 +393,21 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", escape(k), v);
+            let _ = write!(out, "{}:{}", escape_string(k), v);
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", escape(k), v);
+            let _ = write!(out, "{}:{}", escape_string(k), v);
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, v)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":", escape(k));
+            let _ = write!(out, "{}:", escape_string(k));
             Snapshot::write_histogram(&mut out, v);
         }
         out.push_str("}}");
@@ -422,7 +424,7 @@ impl Snapshot {
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (k, v)) in self.counters.iter().enumerate() {
             let sep = if i > 0 { "," } else { "" };
-            let _ = write!(out, "{sep}\n    \"{}\": {}", escape(k), v);
+            let _ = write!(out, "{sep}\n    {}: {}", escape_string(k), v);
         }
         if !self.counters.is_empty() {
             out.push_str("\n  ");
@@ -430,7 +432,7 @@ impl Snapshot {
         out.push_str("},\n  \"gauges\": {");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             let sep = if i > 0 { "," } else { "" };
-            let _ = write!(out, "{sep}\n    \"{}\": {}", escape(k), v);
+            let _ = write!(out, "{sep}\n    {}: {}", escape_string(k), v);
         }
         if !self.gauges.is_empty() {
             out.push_str("\n  ");
@@ -438,7 +440,7 @@ impl Snapshot {
         out.push_str("},\n  \"histograms\": {");
         for (i, (k, v)) in self.histograms.iter().enumerate() {
             let sep = if i > 0 { "," } else { "" };
-            let _ = write!(out, "{sep}\n    \"{}\": ", escape(k));
+            let _ = write!(out, "{sep}\n    {}: ", escape_string(k));
             Snapshot::write_histogram(&mut out, v);
         }
         if !self.histograms.is_empty() {
@@ -488,23 +490,6 @@ fn prom_name(name: &str) -> String {
     out.push_str("rapids_");
     for c in name.chars() {
         out.push(if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' });
-    }
-    out
-}
-
-/// Escapes a metric name for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
     out
 }

@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use crate::json::{escape_string, number};
 use crate::metrics::Snapshot;
 
 /// Sampler knobs.
@@ -179,7 +180,7 @@ impl Sampler {
     pub fn window_json(&self, name: &str, last: usize) -> Option<String> {
         use std::fmt::Write as _;
         let points = self.window(name, last)?;
-        let mut out = format!("{{\"ok\":\"series\",\"name\":\"{}\",\"points\":[", escape(name));
+        let mut out = format!("{{\"ok\":\"series\",\"name\":{},\"points\":[", escape_string(name));
         for (i, (tick, value)) in points.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -189,33 +190,6 @@ impl Sampler {
         out.push_str("]}");
         Some(out)
     }
-}
-
-/// Renders an `f64` as a JSON number: shortest round-trip form, `null`
-/// for non-finite values (which deterministic series never produce).
-pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes a series name for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

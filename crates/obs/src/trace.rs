@@ -23,6 +23,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::escape_string;
+
 /// Cheap global gate; relaxed load on every span construction.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -166,9 +168,9 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         let sep = if i + 1 < order.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "{{\"name\":\"{}\",\"cat\":\"rapids\",\"ph\":\"X\",\
+            "{{\"name\":{},\"cat\":\"rapids\",\"ph\":\"X\",\
              \"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":1,\"tid\":{}}}{sep}",
-            escape(&e.name),
+            escape_string(&e.name),
             e.ts_ns / 1000,
             e.ts_ns % 1000,
             e.dur_ns / 1000,
@@ -188,21 +190,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 pub fn write_chrome_trace(path: &Path) -> std::io::Result<()> {
     let events = take_events();
     std::fs::write(path, chrome_trace_json(&events))
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use rapids_core::OptimizerConfig;
 use rapids_flow::placement::PlacerConfig;
 use rapids_flow::PipelineConfig;
 
-use crate::json::{parse_flat_object, JsonValue};
+use rapids_obs::json::{parse_flat_object, Value};
 
 /// Where a job's circuit comes from.
 #[derive(Debug, Clone)]
@@ -149,13 +149,13 @@ impl Job {
         let mut fast: Option<bool> = None;
         let mut timeout_s: Option<f64> = None;
 
-        let str_of = |v: &JsonValue, key: &str| -> Result<String, String> {
+        let str_of = |v: &Value, key: &str| -> Result<String, String> {
             v.as_str().map(str::to_string).ok_or_else(|| format!("`{key}` must be a string"))
         };
-        let bool_of = |v: &JsonValue, key: &str| -> Result<bool, String> {
+        let bool_of = |v: &Value, key: &str| -> Result<bool, String> {
             v.as_bool().ok_or_else(|| format!("`{key}` must be a boolean"))
         };
-        let uint_of = |v: &JsonValue, key: &str| -> Result<u64, String> {
+        let uint_of = |v: &Value, key: &str| -> Result<u64, String> {
             // Numbers travel as f64, which represents integers faithfully
             // only below 2^53 — beyond that a written value would be
             // silently rounded to a neighbour, so reject it instead (a

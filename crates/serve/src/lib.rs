@@ -8,7 +8,9 @@
 //!
 //! * **ingestion** ([`ingest`], [`job`]) — JSONL job specs, the 19-entry
 //!   synthetic suite, and recursively discovered `.blif` directories, all
-//!   normalized into [`Job`]s;
+//!   normalized into [`Job`]s.  Job specs, protocol lines and reports
+//!   are read and written through [`rapids_obs::json`], the workspace's
+//!   one JSON module;
 //! * **execution + caching** ([`engine`], [`fingerprint`]) — the
 //!   [`Engine`] runs one job end to end (errors and panics are captured as
 //!   `Failed` reports, never propagated) and memoizes results keyed by
@@ -51,6 +53,7 @@ pub mod fingerprint;
 pub mod heartbeat;
 pub mod ingest;
 pub mod job;
+#[doc(hidden)]
 pub mod json;
 pub mod net;
 pub mod report;

@@ -51,7 +51,7 @@ use std::sync::Mutex;
 use crate::engine::Engine;
 use crate::faults::FaultPoint;
 use crate::job::Job;
-use crate::json::{escape_string, parse_flat_object};
+use rapids_obs::json::{escape_string, parse_flat_object};
 
 /// Hard cap on one protocol line (bytes, newline excluded).  A line past
 /// the cap is drained and rejected without buffering it, so a hostile

@@ -11,7 +11,7 @@
 
 use rapids_flow::FlowComparison;
 
-use crate::json::{escape_string, number, parse_flat_object, JsonValue};
+use rapids_obs::json::{escape_string, number, parse_flat_object, Value};
 
 /// The deterministic per-design QoR record — the serve-side twin of the
 /// `table1 --qor-out` row, field for field.
@@ -98,7 +98,7 @@ impl DesignQor {
     /// A description of the first missing or ill-typed field.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let pairs = parse_flat_object(text)?;
-        let field = |key: &str| -> Result<&JsonValue, String> {
+        let field = |key: &str| -> Result<&Value, String> {
             pairs
                 .iter()
                 .find(|(k, _)| k == key)
@@ -295,7 +295,6 @@ pub fn canonical_sort(lines: &mut [String]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_flat_object;
 
     fn qor() -> DesignQor {
         DesignQor {

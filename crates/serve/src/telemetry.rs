@@ -30,7 +30,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rapids_obs::timeseries::number;
+use rapids_obs::json::{escape_string, number};
 use rapids_obs::{Alert, Cusum, CusumConfig, Sampler, SamplerConfig, SloConfig, SloTracker};
 use rapids_obs::{Registry, TickSample};
 
@@ -359,7 +359,7 @@ impl Journal {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{k}\":{}", number(*v));
+                let _ = write!(out, "{}:{}", escape_string(k), number(*v));
             }
             out.push('}');
             out

@@ -1,11 +1,10 @@
 //! Reproduces the paper's Fig. 2 and Fig. 3 by hand: swappable pins inside a
 //! supergate, and cross-supergate swapping with the DeMorgan transform —
-//! each verified against the BDD oracle — then pushes the Fig. 3 network
+//! each verified by exhaustive simulation — then pushes the Fig. 3 network
 //! through the unified [`Pipeline`] with the equivalence safety net on.
 //!
 //! Run with: `cargo run --example symmetry_explore`
 
-use rapids_bdd::check_equivalence;
 use rapids_core::cross::cross_supergate_swap;
 use rapids_core::supergate::extract_supergates;
 use rapids_core::swap::apply_swap;
@@ -13,6 +12,7 @@ use rapids_core::symmetry::{swap_candidates, symmetry_classes};
 use rapids_core::OptimizerKind;
 use rapids_flow::{CircuitSource, Pipeline, PipelineConfig};
 use rapids_netlist::{GateType, Network, NetworkBuilder};
+use rapids_sim::check_equivalence_exhaustive;
 
 /// Fig. 2: a 3-input AND supergate whose pins h and k are swappable.
 fn figure2() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,7 @@ fn figure2() -> Result<(), Box<dyn std::error::Error>> {
     for candidate in swap_candidates(sg, false) {
         let mut rewired: Network = reference.clone();
         apply_swap(&mut rewired, &candidate)?;
-        let equivalent = check_equivalence(&reference, &rewired).is_ok();
+        let equivalent = check_equivalence_exhaustive(&reference, &rewired).is_equivalent();
         println!("  swap {} <-> {} : equivalent = {equivalent}", candidate.pin_a, candidate.pin_b);
         assert!(equivalent);
     }
@@ -68,7 +68,7 @@ fn figure3() -> Result<(), Box<dyn std::error::Error>> {
         "cross swap applied: DeMorgan used = {}, inverters inserted = {}",
         record.demorganized, record.inserted_inverters
     );
-    let equivalent = check_equivalence(&reference, &rewired).is_ok();
+    let equivalent = check_equivalence_exhaustive(&reference, &rewired).is_equivalent();
     println!("network still equivalent: {equivalent}");
     assert!(equivalent);
     Ok(())

@@ -1,12 +1,21 @@
 //! Integration coverage for the fault-tolerant serving tier: the on-disk
 //! result store (cache-warm restarts, byte-identity, torn-tail recovery),
 //! per-job deadlines under injected hangs, deterministic fault injection
-//! (panics and transient I/O faults), and the interplay of all three with
-//! the batch server — the acceptance scenarios of the robustness PR.
+//! (panics and transient I/O faults), the interplay of all three with the
+//! batch server, and a seeded fuzz loop over the JSON-fed input surfaces.
+
+use std::panic::AssertUnwindSafe;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use rapids_flow::PipelineConfig;
+use rapids_obs::json::{escape_string, number, parse, parse_flat_object, Value};
+use rapids_obs::trace::{chrome_trace_json, TraceEvent};
+use rapids_obs::{CusumConfig, Registry, SloConfig};
 use rapids_serve::report::canonical_sort;
-use rapids_serve::{BatchServer, Engine, FaultPlan, Job, JobOutcome, ResultStore};
+use rapids_serve::telemetry::{TelemetryConfig, TelemetryPlane};
+use rapids_serve::{BatchServer, DesignQor, Engine, FaultPlan, Job, JobOutcome, ResultStore};
 
 fn batch(config: &PipelineConfig) -> Vec<Job> {
     vec![Job::suite("c432", config), Job::suite("alu2", config), Job::suite("c499", config)]
@@ -175,4 +184,159 @@ fn injected_panic_and_transient_fault_are_contained_to_their_jobs() {
         outcomes["tiny_mux"]
     );
     assert!(matches!(&outcomes["c499"], JobOutcome::Done(_)));
+}
+
+/// Mutants per fuzz seed.
+const FUZZ_CASES: usize = 1000;
+
+/// One of every JSON shape the serve tier reads or writes, rendered by the
+/// code that produces it where that code is public.
+fn fuzz_seeds() -> Vec<String> {
+    let blif = include_str!("../ci/fixtures/tiny_mux.blif");
+    let job = format!(
+        "{{\"name\":\"tiny\",\"blif_text\":{},\"fast\":true,\"seed\":7,\"timeout_s\":2.5}}",
+        escape_string(blif)
+    );
+    let verify = include_str!("../ci/verify_smoke.jobs.jsonl").lines().next().unwrap().to_string();
+    let qor = DesignQor {
+        name: "c432".into(),
+        gate_count: 321,
+        initial_delay_ns: 12.5,
+        gsg_final_delay_ns: 11.0,
+        gs_final_delay_ns: 10.75,
+        combined_final_delay_ns: 10.5,
+        gs_final_area_um2: 4000.0,
+        combined_final_area_um2: 4100.25,
+        gsg_swaps: 17,
+        gsg_es_swaps: 2,
+        combined_es_swaps: 3,
+        gs_resized: 40,
+        legalized: true,
+        hpwl_um: 123456.75,
+        max_displacement_um: 42.5,
+    }
+    .to_json();
+    // The `stats` reply is rendered inside the listener; this is its shape.
+    let stats = concat!(
+        "{\"ok\":\"stats\",\"optimizer_runs\":3,\"cache_hits\":1,",
+        "\"cached_results\":3,\"evictions\":0,\"disk_hits\":0,",
+        "\"recovered_records\":0,\"dropped_corrupt_records\":0,",
+        "\"verify_runs\":0,\"cached_verifications\":0,",
+        "\"jobs_timed\":4,\"job_p50_us\":1023,\"job_p99_us\":2047}"
+    )
+    .to_string();
+    let registry = Registry::new();
+    let plane = TelemetryPlane::new(
+        registry.clone(),
+        TelemetryConfig {
+            cusum: vec![CusumConfig::fixed("serve.jobs", 0.0, 0.5, 2.0)],
+            slos: vec![SloConfig {
+                name: "timeouts".into(),
+                bad_series: "serve.bad".into(),
+                total_series: "serve.jobs".into(),
+                target: 0.5,
+            }],
+            manual: true,
+            ..TelemetryConfig::default()
+        },
+    );
+    plane.tick_now();
+    registry.counter("serve.jobs").add(4);
+    registry.counter("serve.bad").add(3);
+    assert_eq!(plane.tick_now().len(), 2, "both detectors fire");
+    let series = plane.series_json("serve.jobs", 0).unwrap();
+    let trace = chrome_trace_json(&[
+        TraceEvent { name: "serve.job".into(), tid: 1, ts_ns: 0, dur_ns: 9_000 },
+        TraceEvent { name: "stage.sta".into(), tid: 1, ts_ns: 1_500, dur_ns: 2_250 },
+    ]);
+    vec![job, verify, qor, stats, series, plane.alerts_json(), trace]
+}
+
+/// One random edit: a byte flip, an inserted `[`, `{`, `"`, `\` or `\u`,
+/// a deletion, a duplicated span, or a truncation.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut StdRng) {
+    if bytes.is_empty() {
+        bytes.push(b'{');
+        return;
+    }
+    let at = rng.gen_range(0..bytes.len());
+    match rng.gen_range(0..5u32) {
+        0 => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+        1 => {
+            let tokens: [&[u8]; 5] = [b"[", b"{", b"\"", b"\\", b"\\u"];
+            bytes.splice(at..at, tokens[rng.gen_range(0..5usize)].iter().copied());
+        }
+        2 => {
+            bytes.remove(at);
+        }
+        3 => {
+            let end = rng.gen_range(at..bytes.len()).min(at + 16) + 1;
+            let span = bytes[at..end].to_vec();
+            bytes.splice(at..at, span);
+        }
+        _ => bytes.truncate(at),
+    }
+}
+
+/// Every string and number in `value` re-parses to itself through the
+/// writers.
+fn assert_scalars_round_trip(value: &Value) {
+    let string_round_trips =
+        |s: &str| assert_eq!(parse(&escape_string(s)), Ok(Value::Str(s.into())));
+    match value {
+        Value::Str(s) => string_round_trips(s),
+        Value::Num(x) => {
+            let back = parse(&number(*x)).ok().and_then(|v| v.as_num());
+            assert_eq!(back.map(f64::to_bits), Some(x.to_bits()), "{x}");
+        }
+        Value::Arr(items) => items.iter().for_each(assert_scalars_round_trip),
+        Value::Obj(pairs) => {
+            for (key, item) in pairs {
+                string_round_trips(key);
+                assert_scalars_round_trip(item);
+            }
+        }
+        Value::Null | Value::Bool(_) => {}
+    }
+}
+
+/// The fuzz oracle for one input (see the test below).
+fn check_json_surfaces(text: &str, config: &PipelineConfig) {
+    let tree = parse(text);
+    let flat = parse_flat_object(text);
+    let _ = Job::from_spec_line(text, config);
+    let _ = DesignQor::from_json(text);
+    let scalar_object = matches!(&tree, Ok(Value::Obj(all))
+        if all.iter().all(|(_, v)| !matches!(v, Value::Arr(_) | Value::Obj(_))));
+    assert_eq!(flat.is_ok(), scalar_object, "{flat:?}");
+    if let (Ok(Value::Obj(all)), Ok(pairs)) = (&tree, &flat) {
+        assert_eq!(all, pairs);
+    }
+    if let Ok(value) = &tree {
+        assert_scalars_round_trip(value);
+    }
+}
+
+/// Seeded malformed input on every JSON-fed surface: the tree reader, the
+/// flat-object check, job specs and store payloads never panic; the flat
+/// check accepts exactly the objects of scalars that the tree reader
+/// returns; and every accepted string and number survives a round trip
+/// through the writers.
+#[test]
+fn json_surfaces_survive_seeded_malformed_input() {
+    let config = PipelineConfig::fast();
+    let mut rng = StdRng::seed_from_u64(0x0150_2000);
+    for (s, seed) in fuzz_seeds().iter().enumerate() {
+        assert!(parse(seed).is_ok(), "seed {s} parses: {seed}");
+        for case in 0..FUZZ_CASES {
+            let mut bytes = seed.clone().into_bytes();
+            for _ in 0..rng.gen_range(1..4usize) {
+                mutate(&mut bytes, &mut rng);
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let outcome =
+                std::panic::catch_unwind(AssertUnwindSafe(|| check_json_surfaces(&text, &config)));
+            assert!(outcome.is_ok(), "seed {s} case {case} failed on {text:?}");
+        }
+    }
 }
