@@ -119,6 +119,13 @@ echo "==> verify smoke (SAT equivalence jobs through rapids-serve, pinned output
 timeout 120 ./target/release/rapids-serve --jobs ci/verify_smoke.jobs.jsonl \
     --workers 2 --sort 2> /dev/null | diff - ci/expected_verify_smoke.jsonl
 
+echo "==> full-suite proof (SAT proof of all 19 Table 1 designs after gsg+GS --es)"
+# The ignored acceptance sweep of tests/integration_cec.rs: every design
+# must come back proven, and every sweep must refute fewer times than its
+# DAG has nodes.  About 10 s in release; the timeout guards against the
+# sweep falling back to re-refuting the same candidates.
+timeout 300 cargo test --release --offline -p rapids-flow --test integration_cec -q -- --ignored
+
 echo "==> result-store smoke (crash-safe disk cache: second run is compute-free)"
 # Two identical runs against a fresh --store directory: the second must be
 # answered entirely from disk (zero optimizer runs, every job a disk hit)

@@ -11,16 +11,20 @@
 //! 3. **Tseitin encoding** — the cones of the remaining output pairs are
 //!    encoded per gate kind ([`crate::cnf`]); structurally shared gates
 //!    share one SAT variable across both networks.
-//! 4. **SAT sweeping** — seeded bit-parallel simulation proposes internal
-//!    equivalence candidates; each is queried under a selector assumption
-//!    with a conflict budget, proven pairs become equality clauses, and SAT
-//!    answers feed their distinguishing pattern back into the signatures.
-//!    This keeps each solver query local, which is what makes deep
-//!    arithmetic miters (the array multipliers) tractable.
+//! 4. **SAT sweeping** — seeded bit-parallel simulation groups the encoded
+//!    nodes into candidate classes.  One bottom-up pass queries each node
+//!    against the smallest unmerged member of its class, under a selector
+//!    assumption with a conflict budget.  A proof becomes equality clauses,
+//!    so the queries above it stay local, which is what makes deep
+//!    arithmetic miters (the array multipliers) tractable; a refuting model
+//!    splits every class at once by the nodes' values in it.  Passes repeat
+//!    until one refutes nothing.
 //! 5. **Miter solve** — per remaining pair, `dᵢ ↔ aᵢ ⊕ bᵢ`, plus the clause
 //!    `d₁ ∨ d₂ ∨ …`; UNSAT is a proof of equivalence, a model is a concrete
 //!    counterexample input vector, re-simulated on both networks to locate
 //!    the differing output (and cross-check the solver).
+
+use std::collections::{HashMap, HashSet};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,21 +37,19 @@ use crate::cnf::CnfBuilder;
 use crate::dag::{Dag, Slit};
 use crate::solver::{Lit, SolveResult, Solver, Var};
 
-/// Tuning knobs for [`check_equivalence`].
+/// Random 64-bit signature words per input (`8` = 512 patterns).
+const SIM_WORDS: usize = 8;
+/// Conflict budget per sweeping query.  An over-budget pair is never queried
+/// again: sound, just less sharing for the miter solve.
+const SWEEP_CONFLICT_BUDGET: u64 = 2_000;
+/// Cap on sweeping passes; a pass that refutes nothing ends sweeping sooner.
+const MAX_SWEEP_PASSES: usize = 16;
+
+/// Settings for [`check_equivalence`].
 #[derive(Debug, Clone)]
 pub struct CecConfig {
     /// Seed for the signature patterns that guide SAT sweeping.
     pub seed: u64,
-    /// Number of 64-bit random signature words (`8` = 512 patterns).
-    pub sim_words: usize,
-    /// Whether to run SAT sweeping before the miter solve.
-    pub sweep: bool,
-    /// Conflict budget per sweeping query; over-budget candidates are
-    /// skipped (sound — just less sharing for the final solve).
-    pub sweep_conflict_budget: u64,
-    /// Optional conflict budget for the final miter solve; exhausting it
-    /// yields [`CecResult::Aborted`].
-    pub final_conflict_budget: Option<u64>,
     /// Cooperative cancellation, polled inside the solver (about every
     /// 1024 conflicts).  Cancellation yields [`CecResult::Aborted`].
     pub cancel: Option<CancelToken>,
@@ -55,14 +57,7 @@ pub struct CecConfig {
 
 impl Default for CecConfig {
     fn default() -> Self {
-        CecConfig {
-            seed: 0xCEC,
-            sim_words: 8,
-            sweep: true,
-            sweep_conflict_budget: 2_000,
-            final_conflict_budget: None,
-            cancel: None,
-        }
+        CecConfig { seed: 0xCEC, cancel: None }
     }
 }
 
@@ -102,7 +97,7 @@ pub enum CecResult {
         /// `(a, b)` output-port counts.
         outputs: (usize, usize),
     },
-    /// Undecided: conflict budget exhausted or cancelled.
+    /// Undecided: cancelled.
     Aborted(String),
 }
 
@@ -114,7 +109,7 @@ impl CecResult {
 }
 
 /// Work counters for one equivalence check.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CecStats {
     /// Nodes in the shared structural DAG (constant and inputs included).
     pub dag_nodes: usize,
@@ -130,9 +125,10 @@ pub struct CecStats {
     pub sweep_candidates: u64,
     /// Sweeping: pairs proven equal (equality clauses added).
     pub sweep_proven: u64,
-    /// Sweeping: pairs refuted by a solver model (signature refinement).
+    /// Sweeping: pairs refuted by a solver model (each splits the
+    /// candidate classes).
     pub sweep_refuted: u64,
-    /// Sweeping: pairs skipped on conflict budget.
+    /// Sweeping: pairs that exhausted the conflict budget (never retried).
     pub sweep_skipped: u64,
     /// Total solver conflicts across sweeping and the miter solve.
     pub conflicts: u64,
@@ -254,13 +250,12 @@ pub fn check_equivalence_with_stats(
     let mut interrupted = move || cancel.as_ref().is_some_and(CancelToken::is_cancelled);
 
     // Signature-guided SAT sweeping over the encoded cone.
-    if config.sweep {
-        let _sweep_span = rapids_obs::span("cec.sweep");
-        sweep(&mut solver, &dag, &node_var, &input_vars, config, &mut stats, &mut interrupted);
-        if interrupted() {
-            stats_from_solver(&mut stats, &solver, clauses);
-            return (CecResult::Aborted("cancelled during SAT sweeping".into()), stats);
-        }
+    let sweep_span = rapids_obs::span("cec.sweep");
+    sweep(&mut solver, &dag, &node_var, config.seed, &mut stats, &mut interrupted);
+    drop(sweep_span);
+    if interrupted() {
+        stats_from_solver(&mut stats, &solver, clauses);
+        return (CecResult::Aborted("cancelled during SAT sweeping".into()), stats);
     }
 
     // The miter: dᵢ ↔ aᵢ ⊕ bᵢ for every remaining pair, and some dᵢ holds.
@@ -279,14 +274,13 @@ pub fn check_equivalence_with_stats(
     solver.add_clause(&miter_lits);
 
     let solve_span = rapids_obs::span("cec.solve");
-    let verdict = solver.solve_limited(&[], config.final_conflict_budget, &mut interrupted);
+    let verdict = solver.solve_limited(&[], None, &mut interrupted);
     drop(solve_span);
     stats_from_solver(&mut stats, &solver, clauses);
     match verdict {
         SolveResult::Unsat => (CecResult::EquivalentProven, stats),
         SolveResult::Unknown => {
-            let why = if interrupted() { "cancelled" } else { "conflict budget exhausted" };
-            (CecResult::Aborted(format!("miter solve undecided: {why}")), stats)
+            (CecResult::Aborted("miter solve undecided: cancelled".into()), stats)
         }
         SolveResult::Sat => {
             let inputs: Vec<bool> = input_vars.iter().map(|&v| solver.model_value(v)).collect();
@@ -323,6 +317,7 @@ fn stats_from_solver(stats: &mut CecStats, solver: &Solver, clauses: u64) {
     registry.counter("cec.restarts").add(solver.stats.restarts);
     registry.counter("cec.sweep_candidates").add(stats.sweep_candidates);
     registry.counter("cec.sweep_proven").add(stats.sweep_proven);
+    registry.counter("cec.sweep_refuted").add(stats.sweep_refuted);
 }
 
 /// Tseitin-encodes logic gate `root`, whose node has no variable yet.
@@ -382,121 +377,139 @@ fn lit_of(node_var: &[Option<Var>], const_var: Var, s: Slit) -> Lit {
     }
 }
 
-/// Signature-guided SAT sweeping: conjecture internal equivalences from
-/// bit-parallel simulation, prove each under a selector assumption with a
-/// conflict budget, and feed refuting models back as new patterns.
+/// Signature-guided SAT sweeping, bottom-up.
+///
+/// Candidate classes start as the groups of equal signatures under the
+/// seeded patterns, a node whose first pattern is true joining complemented
+/// (its `phase`), so `x` and `¬x` share a class.  Every encoded node, in
+/// ascending DAG id and so after its fan-ins, is queried against the
+/// smallest unmerged member of its class.  A proof adds the equality
+/// clauses; a refuting model splits every class at once
+/// ([`Classes::split`]); an over-budget pair is never queried again.
 fn sweep(
     solver: &mut Solver,
     dag: &Dag,
     node_var: &[Option<Var>],
-    input_vars: &[Var],
-    config: &CecConfig,
+    seed: u64,
     stats: &mut CecStats,
     interrupted: &mut dyn FnMut() -> bool,
 ) {
     let encoded: Vec<u32> = (0..dag.len() as u32)
         .filter(|&n| node_var[n as usize].is_some() && !dag.input_node(n))
         .collect();
-    if encoded.len() < 2 {
-        return;
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let base_words: Vec<Vec<u64>> = (0..dag.num_inputs())
-        .map(|_| (0..config.sim_words.max(1)).map(|_| rng.gen::<u64>()).collect())
+    let mut rng = StdRng::seed_from_u64(seed);
+    let patterns: Vec<[u64; SIM_WORDS]> =
+        (0..dag.num_inputs()).map(|_| std::array::from_fn(|_| rng.gen::<u64>())).collect();
+    let words: Vec<Vec<u64>> = (0..SIM_WORDS)
+        .map(|w| dag.simulate_words(&patterns.iter().map(|p| p[w]).collect::<Vec<u64>>()))
         .collect();
-    let mut extra_patterns: Vec<Vec<bool>> = Vec::new();
+
+    let mut classes =
+        Classes { of: vec![0; dag.len()], phase: vec![false; dag.len()], min: Vec::new() };
+    let mut by_signature: HashMap<[u64; SIM_WORDS], u32> = HashMap::new();
+    for &n in &encoded {
+        let phase = words[0][n as usize] & 1 == 1;
+        let flip = if phase { !0 } else { 0 };
+        let signature = std::array::from_fn(|w| words[w][n as usize] ^ flip);
+        let class = *by_signature.entry(signature).or_insert_with(|| classes.open(n));
+        classes.of[n as usize] = class;
+        classes.phase[n as usize] = phase;
+    }
+
     // `merged[n]`: this node is already proven equal to an earlier one.
     let mut merged = vec![false; dag.len()];
-
-    const MAX_ROUNDS: usize = 16;
-    for _ in 0..MAX_ROUNDS {
-        if interrupted() {
-            return;
-        }
-        // Signatures: seeded words plus the accumulated refuting patterns.
-        let total_words = base_words[0].len() + extra_patterns.len().div_ceil(64);
-        let mut sigs: Vec<Vec<u64>> = vec![Vec::new(); dag.len()];
-        for w in 0..total_words {
-            let input_words: Vec<u64> = (0..dag.num_inputs())
-                .map(|i| {
-                    if w < base_words[0].len() {
-                        base_words[i][w]
-                    } else {
-                        let mut word = 0u64;
-                        for (bit, pat) in extra_patterns
-                            .iter()
-                            .skip((w - base_words[0].len()) * 64)
-                            .take(64)
-                            .enumerate()
-                        {
-                            word |= u64::from(pat[i]) << bit;
-                        }
-                        word
-                    }
-                })
-                .collect();
-            let words = dag.simulate_words(&input_words);
-            for &n in &encoded {
-                sigs[n as usize].push(words[n as usize]);
+    let mut exhausted: HashSet<(u32, u32)> = HashSet::new();
+    for _ in 0..MAX_SWEEP_PASSES {
+        let mut refuted = false;
+        for &n in &encoded {
+            let leader = classes.min[classes.of[n as usize] as usize];
+            if merged[n as usize] || leader == n || exhausted.contains(&(leader, n)) {
+                continue;
             }
-        }
-        // Group by normalized signature (complement folded into a phase).
-        let mut keyed: Vec<(Vec<u64>, bool, u32)> = encoded
-            .iter()
-            .filter(|&&n| !merged[n as usize])
-            .map(|&n| {
-                let sig = &sigs[n as usize];
-                let phase = sig[0] & 1 == 1;
-                let norm: Vec<u64> = sig.iter().map(|&w| if phase { !w } else { w }).collect();
-                (norm, phase, n)
-            })
-            .collect();
-        keyed.sort();
-        let mut refuted_this_round = false;
-        let mut i = 0;
-        while i < keyed.len() {
-            let mut j = i + 1;
-            while j < keyed.len() && keyed[j].0 == keyed[i].0 {
-                j += 1;
+            if interrupted() {
+                return;
             }
-            let (_, leader_phase, leader) = (&keyed[i].0, keyed[i].1, keyed[i].2);
-            for entry in &keyed[i + 1..j] {
-                if interrupted() {
-                    return;
+            stats.sweep_candidates += 1;
+            let la = Lit::pos(node_var[leader as usize].expect("swept nodes are encoded"));
+            let lb = Lit::new(
+                node_var[n as usize].expect("swept nodes are encoded"),
+                classes.phase[leader as usize] != classes.phase[n as usize],
+            );
+            // sel → (la ≠ lb); ask whether they can differ.
+            let sel = Lit::pos(solver.new_var());
+            solver.add_clause(&[!sel, la, lb]);
+            solver.add_clause(&[!sel, !la, !lb]);
+            let r = solver.solve_limited(&[sel], Some(SWEEP_CONFLICT_BUDGET), interrupted);
+            solver.add_clause(&[!sel]);
+            match r {
+                SolveResult::Unsat => {
+                    stats.sweep_proven += 1;
+                    solver.add_clause(&[!la, lb]);
+                    solver.add_clause(&[la, !lb]);
+                    merged[n as usize] = true;
                 }
-                let (phase, member) = (entry.1, entry.2);
-                stats.sweep_candidates += 1;
-                let la = Lit::pos(node_var[leader as usize].unwrap());
-                let lb = Lit::new(node_var[member as usize].unwrap(), leader_phase != phase);
-                // sel → (la ≠ lb); ask whether they can differ.
-                let sel = Lit::pos(solver.new_var());
-                solver.add_clause(&[!sel, la, lb]);
-                solver.add_clause(&[!sel, !la, !lb]);
-                let r =
-                    solver.solve_limited(&[sel], Some(config.sweep_conflict_budget), interrupted);
-                solver.add_clause(&[!sel]);
-                match r {
-                    SolveResult::Unsat => {
-                        stats.sweep_proven += 1;
-                        solver.add_clause(&[!la, lb]);
-                        solver.add_clause(&[la, !lb]);
-                        merged[member as usize] = true;
-                    }
-                    SolveResult::Sat => {
-                        stats.sweep_refuted += 1;
-                        refuted_this_round = true;
-                        extra_patterns
-                            .push(input_vars.iter().map(|&v| solver.model_value(v)).collect());
-                    }
-                    SolveResult::Unknown => {
-                        stats.sweep_skipped += 1;
-                    }
+                SolveResult::Sat => {
+                    stats.sweep_refuted += 1;
+                    refuted = true;
+                    classes.split(&encoded, &merged, |m| {
+                        solver.model_value(node_var[m as usize].expect("swept nodes are encoded"))
+                    });
+                }
+                SolveResult::Unknown => {
+                    stats.sweep_skipped += 1;
+                    exhausted.insert((leader, n));
                 }
             }
-            i = j;
         }
-        if !refuted_this_round {
+        if !refuted {
             break;
+        }
+    }
+}
+
+/// Candidate equivalence classes of the swept nodes.
+///
+/// A class's smallest member is never merged: merges only go to the
+/// smallest member, and a split moves only members that disagree with it.
+struct Classes {
+    /// Class of each DAG node.
+    of: Vec<u32>,
+    /// Whether a node sits in its class complemented.
+    phase: Vec<bool>,
+    /// Smallest member of each class.
+    min: Vec<u32>,
+}
+
+impl Classes {
+    /// Opens a class whose smallest member is `n`, returning its id.
+    fn open(&mut self, n: u32) -> u32 {
+        self.min.push(n);
+        (self.min.len() - 1) as u32
+    }
+
+    /// Splits every class by the value its unmerged members take in a
+    /// model, read through `value`.
+    ///
+    /// The Tseitin clauses fix each node variable to the node's function of
+    /// the inputs, so this is the same as simulating the model's input
+    /// vector.  In each class, the members whose phase-adjusted value
+    /// differs from the smallest member's move to one new class, whose
+    /// smallest member is the first of them in ascending order.
+    fn split(&mut self, encoded: &[u32], merged: &[bool], value: impl Fn(u32) -> bool) {
+        // Per class: the smallest member's value, and the dissenters' class.
+        let mut first: Vec<(bool, Option<u32>)> = vec![(false, None); self.min.len()];
+        for &n in encoded {
+            if merged[n as usize] {
+                continue;
+            }
+            let c = self.of[n as usize] as usize;
+            let v = value(n) != self.phase[n as usize];
+            if self.min[c] == n {
+                first[c].0 = v;
+            } else if v != first[c].0 {
+                let to = *first[c].1.get_or_insert_with(|| self.open(n));
+                self.of[n as usize] = to;
+            }
         }
     }
 }

@@ -678,7 +678,6 @@ impl Pipeline {
                     let cec_config = rapids_cec::CecConfig {
                         seed: self.config.seed ^ 0x5eed_cafe,
                         cancel: Some(cancel.clone()),
-                        ..rapids_cec::CecConfig::default()
                     };
                     match rapids_cec::check_equivalence(&design.network, &working, &cec_config) {
                         rapids_cec::CecResult::EquivalentProven => equivalence_proven = true,

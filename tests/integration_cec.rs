@@ -15,12 +15,12 @@
 //! 3. **Pipeline safety net** — `SafetyNet::Sat` must produce
 //!    `equivalence_proven` reports end to end.
 //!
-//! The full 19-design acceptance sweep is `#[ignore]`d (run with
-//! `cargo test --release --test integration_cec -- --ignored`).
+//! The full 19-design acceptance sweep is `#[ignore]`d; `ci.sh` runs it
+//! with `cargo test --release --test integration_cec -- --ignored`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rapids_cec::{check_equivalence, CecConfig, CecResult};
+use rapids_cec::{check_equivalence, check_equivalence_with_stats, CecConfig, CecResult};
 use rapids_circuits::generators::alu::alu;
 use rapids_circuits::generators::multiplier::array_multiplier;
 use rapids_circuits::generators::parity::error_corrector;
@@ -232,23 +232,28 @@ fn mutation_campaign_random_logic() {
 // CEC vs simulation on real optimizer output
 // ---------------------------------------------------------------------------
 
-/// Optimizes `name` with `kind` (ES swaps on) and requires (a) a SAT proof
-/// of equivalence and (b) agreement with the random-vector oracle.  The two
-/// must never disagree in the equivalent direction.
-fn optimize_and_prove(name: &str, kind: OptimizerKind) {
+/// `name` before and after `kind` (ES swaps on, seed 17, fast effort).
+fn optimized_pair(name: &str, kind: OptimizerKind) -> (Network, Network) {
     let mut config = PipelineConfig { seed: 17, ..PipelineConfig::fast() };
     config.optimizer.include_inverting_swaps = true;
     let pipeline = Pipeline::new(config);
     let design = pipeline.prepare(CircuitSource::suite(name)).unwrap();
     let report = pipeline.optimize(&design, kind).unwrap();
+    (design.network, report.network)
+}
 
-    let cec = check_equivalence(&design.network, &report.network, &CecConfig::default());
+/// Optimizes `name` with `kind` (ES swaps on) and requires (a) a SAT proof
+/// of equivalence and (b) agreement with the random-vector oracle.  The two
+/// must never disagree in the equivalent direction.
+fn optimize_and_prove(name: &str, kind: OptimizerKind) {
+    let (before, after) = optimized_pair(name, kind);
+    let cec = check_equivalence(&before, &after, &CecConfig::default());
     assert!(
         matches!(cec, CecResult::EquivalentProven),
         "{name}/{kind}: optimizer output not proven equivalent: {cec:?}"
     );
     assert!(
-        check_equivalence_random(&design.network, &report.network, 2048, 0x5EED).is_equivalent(),
+        check_equivalence_random(&before, &after, 2048, 0x5EED).is_equivalent(),
         "{name}/{kind}: CEC proved UNSAT but random simulation disagrees"
     );
 }
@@ -271,6 +276,28 @@ fn cec_agrees_with_simulation_combined() {
 #[test]
 fn cec_agrees_with_simulation_xor_heavy() {
     optimize_and_prove("c499", OptimizerKind::Combined);
+}
+
+/// Each refuting model splits the candidate classes, and the classes
+/// partition the swept nodes, so a sweep refutes fewer times than the DAG
+/// has nodes.  A sweep that does not apply a refuting model to every class
+/// at once refutes a large class member by member and breaks this bound.
+/// The check is also a pure function of its inputs: the serve verdict cache
+/// and the pinned verify smoke rely on a rerun repeating every count.
+#[test]
+fn refuting_models_split_candidate_classes() {
+    let (before, after) = optimized_pair("c7552", OptimizerKind::Combined);
+    let (result, stats) = check_equivalence_with_stats(&before, &after, &CecConfig::default());
+    assert!(matches!(result, CecResult::EquivalentProven), "c7552: not proven: {result:?}");
+    assert!(
+        stats.sweep_refuted < stats.dag_nodes as u64,
+        "c7552: {} refutations on {} DAG nodes",
+        stats.sweep_refuted,
+        stats.dag_nodes
+    );
+    let (again, rerun) = check_equivalence_with_stats(&before, &after, &CecConfig::default());
+    assert_eq!(again, result);
+    assert_eq!(rerun, stats, "a rerun of the same check must repeat every count");
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +389,8 @@ fn cancelled_xor_operands_are_still_encoded() {
 // ---------------------------------------------------------------------------
 
 /// Acceptance criterion: CEC proves UNSAT for every design in the 19-entry
-/// Table 1 suite after the full gsg+GS optimization with ES swaps.
+/// Table 1 suite after the full gsg+GS optimization with ES swaps, and each
+/// sweep refutes fewer times than its DAG has nodes.
 #[test]
 #[ignore = "whole-suite proof sweep; run with --release -- --ignored"]
 fn cec_proves_full_suite_after_combined_es() {
@@ -372,18 +400,24 @@ fn cec_proves_full_suite_after_combined_es() {
     for name in suite_names() {
         let design = pipeline.prepare(CircuitSource::suite(name)).unwrap();
         let report = pipeline.optimize(&design, OptimizerKind::Combined).unwrap();
-        let (result, stats) = rapids_cec::check_equivalence_with_stats(
-            &design.network,
-            &report.network,
-            &CecConfig::default(),
-        );
+        let started = std::time::Instant::now();
+        let (result, stats) =
+            check_equivalence_with_stats(&design.network, &report.network, &CecConfig::default());
+        let seconds = started.elapsed().as_secs_f64();
         assert!(
             matches!(result, CecResult::EquivalentProven),
             "{name}: not proven ({result:?}; {stats:?})"
         );
+        assert!(
+            stats.sweep_refuted < stats.dag_nodes as u64,
+            "{name}: {} refutations on {} DAG nodes",
+            stats.sweep_refuted,
+            stats.dag_nodes
+        );
         println!(
-            "{name}: proven ({} dag nodes, {} solved pairs, {} conflicts)",
-            stats.dag_nodes, stats.solved_pairs, stats.conflicts
+            "{name}: proven in {seconds:.2} s ({} dag nodes, {} solved pairs, {} refutations, \
+             {} conflicts)",
+            stats.dag_nodes, stats.solved_pairs, stats.sweep_refuted, stats.conflicts
         );
     }
 }
