@@ -121,9 +121,11 @@ timeout 120 ./target/release/rapids-serve --jobs ci/verify_smoke.jobs.jsonl \
 
 echo "==> full-suite proof (SAT proof of all 19 Table 1 designs after gsg+GS --es)"
 # The ignored acceptance sweep of tests/integration_cec.rs: every design
-# must come back proven, and every sweep must refute fewer times than its
-# DAG has nodes.  About 10 s in release; the timeout guards against the
-# sweep falling back to re-refuting the same candidates.
+# must come back proven without the solver (every output pair closes in
+# the structural front end, which maps each swapped supergate to the
+# original's node), and every sweep must refute fewer times than its DAG
+# has nodes.  About 3 s in release, nearly all of it optimization; the
+# timeout guards against a proof falling back to a long solve.
 timeout 300 cargo test --release --offline -p rapids-flow --test integration_cec -q -- --ignored
 
 echo "==> result-store smoke (crash-safe disk cache: second run is compute-free)"

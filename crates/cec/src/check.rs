@@ -6,8 +6,11 @@
 //! 1. **Interface check** — input/output counts must match (correspondence
 //!    is by index, like the simulator's checks).
 //! 2. **Structural front end** — both networks are folded into one
-//!    hash-consed AND/XOR DAG ([`crate::dag`]); output pairs that map to
-//!    the same reference are proven equivalent without touching the solver.
+//!    hash-consed AND/XOR DAG ([`crate::dag`]), each fanout-free AND or XOR
+//!    tree into one node over its leaves; output pairs that map to the same
+//!    reference are proven equivalent without touching the solver.  A tree
+//!    whose leaves a gsg or ES swap permuted maps to the original's node,
+//!    so a swap-only result usually closes here.
 //! 3. **Tseitin encoding** — the cones of the remaining output pairs are
 //!    encoded per gate kind ([`crate::cnf`]); structurally shared gates
 //!    share one SAT variable across both networks.
@@ -136,6 +139,8 @@ pub struct CecStats {
     pub decisions: u64,
     /// Total solver propagations.
     pub propagations: u64,
+    /// Total solver restarts.
+    pub restarts: u64,
 }
 
 /// Checks `a` against `b`; see the module docs for the pipeline.
@@ -159,7 +164,34 @@ pub fn check_equivalence_with_stats(
             stats,
         );
     }
+    let result = prove(a, b, config, &mut stats);
+    publish(&stats);
+    (result, stats)
+}
 
+/// Feeds one check's counters to the global registry.  Every check past
+/// the interface check passes through here exactly once, so this is the
+/// one place the registry is fed.
+fn publish(stats: &CecStats) {
+    let registry = rapids_obs::global();
+    for (name, value) in [
+        ("cec.structural_matches", stats.structural_matches as u64),
+        ("cec.solved_pairs", stats.solved_pairs as u64),
+        ("cec.conflicts", stats.conflicts),
+        ("cec.decisions", stats.decisions),
+        ("cec.propagations", stats.propagations),
+        ("cec.restarts", stats.restarts),
+        ("cec.sweep_candidates", stats.sweep_candidates),
+        ("cec.sweep_proven", stats.sweep_proven),
+        ("cec.sweep_refuted", stats.sweep_refuted),
+    ] {
+        registry.counter(name).add(value);
+    }
+}
+
+/// Steps 2–5 of the module docs, for two networks with matching
+/// interfaces.
+fn prove(a: &Network, b: &Network, config: &CecConfig, stats: &mut CecStats) -> CecResult {
     // Fold both networks into the shared structural DAG.
     let mut dag = Dag::new(a.inputs().len());
     let (mapped_a, gates_a) = dag.map_network(a);
@@ -172,7 +204,7 @@ pub fn check_equivalence_with_stats(
     stats.structural_matches = mapped_a.outputs.len() - differing.len();
     stats.solved_pairs = differing.len();
     if differing.is_empty() {
-        return (CecResult::EquivalentProven, stats);
+        return CecResult::EquivalentProven;
     }
 
     // Mark the DAG cone of every differing output pair; only those gates
@@ -251,11 +283,11 @@ pub fn check_equivalence_with_stats(
 
     // Signature-guided SAT sweeping over the encoded cone.
     let sweep_span = rapids_obs::span("cec.sweep");
-    sweep(&mut solver, &dag, &node_var, config.seed, &mut stats, &mut interrupted);
+    sweep(&mut solver, &dag, &node_var, config.seed, stats, &mut interrupted);
     drop(sweep_span);
     if interrupted() {
-        stats_from_solver(&mut stats, &solver, clauses);
-        return (CecResult::Aborted("cancelled during SAT sweeping".into()), stats);
+        stats_from_solver(stats, &solver, clauses);
+        return CecResult::Aborted("cancelled during SAT sweeping".into());
     }
 
     // The miter: dᵢ ↔ aᵢ ⊕ bᵢ for every remaining pair, and some dᵢ holds.
@@ -276,12 +308,10 @@ pub fn check_equivalence_with_stats(
     let solve_span = rapids_obs::span("cec.solve");
     let verdict = solver.solve_limited(&[], None, &mut interrupted);
     drop(solve_span);
-    stats_from_solver(&mut stats, &solver, clauses);
+    stats_from_solver(stats, &solver, clauses);
     match verdict {
-        SolveResult::Unsat => (CecResult::EquivalentProven, stats),
-        SolveResult::Unknown => {
-            (CecResult::Aborted("miter solve undecided: cancelled".into()), stats)
-        }
+        SolveResult::Unsat => CecResult::EquivalentProven,
+        SolveResult::Unknown => CecResult::Aborted("miter solve undecided: cancelled".into()),
         SolveResult::Sat => {
             let inputs: Vec<bool> = input_vars.iter().map(|&v| solver.model_value(v)).collect();
             let out_a = Simulator::new(a).simulate_bools(a, &inputs);
@@ -297,7 +327,7 @@ pub fn check_equivalence_with_stats(
                 output_a: out_a[output_index],
                 output_b: out_b[output_index],
             };
-            (CecResult::NotEquivalent(cex), stats)
+            CecResult::NotEquivalent(cex)
         }
     }
 }
@@ -308,26 +338,18 @@ fn stats_from_solver(stats: &mut CecStats, solver: &Solver, clauses: u64) {
     stats.conflicts = solver.stats.conflicts;
     stats.decisions = solver.stats.decisions;
     stats.propagations = solver.stats.propagations;
-    // Every check passes through here exactly once with the final solver
-    // state, so this is the one place the global registry is fed.
-    let registry = rapids_obs::global();
-    registry.counter("cec.conflicts").add(solver.stats.conflicts);
-    registry.counter("cec.decisions").add(solver.stats.decisions);
-    registry.counter("cec.propagations").add(solver.stats.propagations);
-    registry.counter("cec.restarts").add(solver.stats.restarts);
-    registry.counter("cec.sweep_candidates").add(stats.sweep_candidates);
-    registry.counter("cec.sweep_proven").add(stats.sweep_proven);
-    registry.counter("cec.sweep_refuted").add(stats.sweep_refuted);
+    stats.restarts = solver.stats.restarts;
 }
 
 /// Tseitin-encodes logic gate `root`, whose node has no variable yet.
 ///
-/// The needed cone follows DAG fan-ins, but [`Dag::mk_xor`] cancels an
-/// operand pair `x, ¬x` that the gate still reads through its network
-/// fan-ins.  A fan-in without a variable is therefore encoded first, depth
-/// first, through the gate that defines it; when every fan-in already has
-/// a variable — every cone without such a cancellation — this is exactly
-/// the in-order encoding of `root` alone.
+/// The needed cone follows DAG fan-ins, but a gate still reads its network
+/// fan-ins, and some of those are no DAG fan-in of its node: the members of
+/// a spliced tree ([`Dag::map_network`]), and an operand pair `x, ¬x` that
+/// [`Dag::mk_xor`] cancels.  A fan-in without a variable is therefore
+/// encoded first, depth first, through the gate that defines it; when every
+/// fan-in already has a variable, this is exactly the in-order encoding of
+/// `root` alone.
 fn encode_gate(
     builder: &mut CnfBuilder,
     node_var: &mut [Option<Var>],
@@ -552,6 +574,24 @@ mod tests {
         // XNOR+INV folds back onto the same XOR node: discharged structurally.
         assert_eq!(stats.structural_matches, 1);
         assert_eq!(stats.solved_pairs, 0);
+    }
+
+    /// Other tests only add to the global counters, so a check moves each
+    /// counter it feeds by at least its own count.
+    #[test]
+    fn every_check_feeds_the_registry() {
+        let read = |name: &str| rapids_obs::global().counter(name).get();
+        let (a, b) = demorgan_pair();
+        let before = read("cec.structural_matches");
+        check_equivalence(&a, &b, &CecConfig::default());
+        assert!(read("cec.structural_matches") - before >= 1, "structural verdict not counted");
+
+        let g = b.find_by_name("u").unwrap();
+        let mut corrupted = b.clone();
+        corrupted.set_gate_type(g, GateType::And).unwrap();
+        let before = read("cec.solved_pairs");
+        check_equivalence(&a, &corrupted, &CecConfig::default());
+        assert!(read("cec.solved_pairs") - before >= 1, "solved pair not counted");
     }
 
     #[test]

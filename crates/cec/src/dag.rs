@@ -13,6 +13,25 @@
 //! - fan-ins of the symmetric functions are sorted and deduplicated, and
 //!   constants are folded.
 //!
+//! [`Dag::map_network`] also flattens the paper's supergates.  A gate
+//! *splices* a fan-in, taking the operands of the fan-in's node in place of
+//! its reference, when the fan-in gate is *spliceable* and
+//!
+//! - the gate is AND/NAND/OR/NOR and the fan-in, after De Morgan, is a
+//!   positive reference to an AND node; or
+//! - the gate is XOR/XNOR and the fan-in is an XOR node in either phase,
+//!   which then folds into the output phase.
+//!
+//! A gate is spliceable when it has one reader and no output port
+//! ([`Network::is_fanout_free`]), and its node was built from its own
+//! operands rather than collapsing onto one of theirs: `NAND(1, x)` is the
+//! node of `x`, which other gates may read.  BUF/INV are spliceable when
+//! they are fanout-free and their driver is spliceable.
+//!
+//! Associativity makes a splice exact.  A fanout-free AND or XOR tree thus
+//! maps to one node over its leaves, and a gsg or ES swap, which only
+//! permutes those leaves, maps to the original's node.
+//!
 //! Structurally identical logic in the two networks then maps to the *same*
 //! node — and therefore later to the same SAT variable — so the CNF the
 //! checker solves only grows with the region where the networks disagree.
@@ -22,7 +41,7 @@
 use std::collections::HashMap;
 
 use rapids_netlist::topo::topological_order;
-use rapids_netlist::{GateType, Network};
+use rapids_netlist::{BaseFunction, GateType, Network};
 
 /// A signed node reference, packed as `node << 1 | complemented`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -189,12 +208,6 @@ impl Dag {
         }
     }
 
-    /// Canonical OR via De Morgan: `or(xs) = ¬and(¬xs)`.
-    pub fn mk_or(&mut self, ins: Vec<Slit>) -> Slit {
-        let neg: Vec<Slit> = ins.into_iter().map(|l| !l).collect();
-        !self.mk_and(neg)
-    }
-
     /// Canonical XOR (pulls complements into the output phase, cancels
     /// duplicate operands, folds constants).
     pub fn mk_xor(&mut self, ins: Vec<Slit>) -> Slit {
@@ -246,6 +259,8 @@ impl Dag {
 
     /// Maps a network onto the DAG, returning the canonical reference per
     /// output port and per live gate slot (dead slots map to `FALSE`).
+    /// Spliceable fan-ins are flattened into their reader's node (see the
+    /// module docs), so a spliced gate's own node has no reader in the DAG.
     ///
     /// # Panics
     ///
@@ -255,27 +270,70 @@ impl Dag {
         assert_eq!(network.inputs().len(), self.num_inputs(), "input count mismatch");
         let order = topological_order(network).expect("CEC requires an acyclic network");
         let mut gate_map: Vec<Slit> = vec![Slit::FALSE; network.gate_count()];
+        let mut spliceable = vec![false; network.gate_count()];
+        // Output ports per gate, counted once for `Network::is_fanout_free`'s
+        // test below.
+        let mut ports: Vec<usize> = vec![0; network.gate_count()];
+        for port in network.outputs() {
+            ports[port.driver.index()] += 1;
+        }
         let mut input_index: HashMap<usize, usize> = HashMap::new();
         for (i, &g) in network.inputs().iter().enumerate() {
             input_index.insert(g.index(), i);
         }
         for &g in &order {
             let gate = network.gate(g);
-            let fanins: Vec<Slit> = gate.fanins.iter().map(|f| gate_map[f.index()]).collect();
-            let slit = match gate.gtype {
-                GateType::Input => self.input(input_index[&g.index()]),
-                GateType::Const0 => Slit::FALSE,
-                GateType::Const1 => Slit::TRUE,
-                GateType::Buf => fanins[0],
-                GateType::Inv => !fanins[0],
-                GateType::And => self.mk_and(fanins),
-                GateType::Nand => !self.mk_and(fanins),
-                GateType::Or => self.mk_or(fanins),
-                GateType::Nor => !self.mk_or(fanins),
-                GateType::Xor => self.mk_xor(fanins),
-                GateType::Xnor => !self.mk_xor(fanins),
+            // The base function's reference, and whether its node was built
+            // from this gate's own operands.
+            let (slit, own_node) = match gate.gtype.base_function() {
+                BaseFunction::Source => {
+                    let slit = match gate.gtype {
+                        GateType::Input => self.input(input_index[&g.index()]),
+                        GateType::Const1 => Slit::TRUE,
+                        _ => Slit::FALSE,
+                    };
+                    (slit, false)
+                }
+                BaseFunction::Identity => {
+                    let f = gate.fanins[0].index();
+                    (gate_map[f], spliceable[f])
+                }
+                BaseFunction::And | BaseFunction::Or => {
+                    // De Morgan: OR is the complement of an AND over the
+                    // complemented fan-ins.
+                    let or = gate.gtype.base_function() == BaseFunction::Or;
+                    let mut ops: Vec<Slit> = Vec::with_capacity(gate.fanins.len());
+                    for f in &gate.fanins {
+                        let l = if or { !gate_map[f.index()] } else { gate_map[f.index()] };
+                        match &self.nodes[l.node() as usize] {
+                            NodeFn::And(ins) if spliceable[f.index()] && !l.is_complement() => {
+                                ops.extend_from_slice(ins)
+                            }
+                            _ => ops.push(l),
+                        }
+                    }
+                    let slit = self.mk_and(ops.clone());
+                    (if or { !slit } else { slit }, built_from(slit, &ops))
+                }
+                BaseFunction::Xor => {
+                    let mut phase = false;
+                    let mut ops: Vec<Slit> = Vec::with_capacity(gate.fanins.len());
+                    for f in &gate.fanins {
+                        let l = gate_map[f.index()];
+                        match &self.nodes[l.node() as usize] {
+                            NodeFn::Xor(ins) if spliceable[f.index()] => {
+                                ops.extend_from_slice(ins);
+                                phase ^= l.is_complement();
+                            }
+                            _ => ops.push(l),
+                        }
+                    }
+                    let slit = self.mk_xor(ops.clone());
+                    (if phase { !slit } else { slit }, built_from(slit, &ops))
+                }
             };
-            gate_map[g.index()] = slit;
+            gate_map[g.index()] = if gate.gtype.output_inverted() { !slit } else { slit };
+            spliceable[g.index()] = own_node && network.fanouts(g).len() + ports[g.index()] <= 1;
         }
         let outputs = network.outputs().iter().map(|port| gate_map[port.driver.index()]).collect();
         (MappedOutputs { outputs }, gate_map)
@@ -303,6 +361,12 @@ impl Dag {
         let words: Vec<u64> = inputs.iter().map(|&b| u64::from(b)).collect();
         self.simulate_words(&words).into_iter().map(|w| w & 1 == 1).collect()
     }
+}
+
+/// Whether `slit` is a node built over `ops`: neither a constant nor one of
+/// the operands' own nodes.
+fn built_from(slit: Slit, ops: &[Slit]) -> bool {
+    !slit.is_const() && ops.iter().all(|o| o.node() != slit.node())
 }
 
 /// The pattern word of a signed reference.
@@ -340,11 +404,25 @@ mod tests {
 
     #[test]
     fn or_is_demorgan_of_and() {
+        let n = NetworkBuilder::new("or")
+            .input("a")
+            .input("b")
+            .gate("na", GateType::Inv, &["a"])
+            .gate("nb", GateType::Inv, &["b"])
+            .gate("or", GateType::Or, &["a", "b"])
+            .gate("nor", GateType::Nor, &["a", "b"])
+            .gate("and", GateType::And, &["na", "nb"])
+            .output("or")
+            .output("nor")
+            .output("and")
+            .finish()
+            .unwrap();
         let mut d = two_input_dag();
+        let (m, _) = d.map_network(&n);
         let (a, b) = (d.input(0), d.input(1));
-        let or = d.mk_or(vec![a, b]);
-        let nand_of_negs = !d.mk_and(vec![!a, !b]);
-        assert_eq!(or, nand_of_negs);
+        assert_eq!(m.outputs[0], !d.mk_and(vec![!a, !b]));
+        assert_eq!(m.outputs[1], !m.outputs[0]);
+        assert_eq!(m.outputs[2], m.outputs[1]);
         // One shared node serves AND(!a,!b), OR(a,b), NOR(a,b).
         assert_eq!(d.len(), 1 + 2 + 1);
     }
@@ -398,5 +476,105 @@ mod tests {
         assert_eq!(word_of(&words, and) & 0xF, 0b0001);
         assert_eq!(word_of(&words, xor) & 0xF, 0b0110);
         assert_eq!(word_of(&words, !and) & 0xF, 0b1110);
+    }
+
+    /// A network over inputs `a`, `b`, `c`, `d` and a constant `one`, with
+    /// `gates` as `(name, type, "space-separated fan-ins")` and one output
+    /// port per name in `outputs`.
+    fn net(gates: &[(&str, GateType, &str)], outputs: &[&str]) -> Network {
+        let mut b = NetworkBuilder::new("t");
+        b.inputs(["a", "b", "c", "d"]).constant("one", true);
+        for &(name, gtype, fanins) in gates {
+            b.gate(name, gtype, &fanins.split(' ').collect::<Vec<_>>());
+        }
+        for &o in outputs {
+            b.output(o);
+        }
+        b.finish().unwrap()
+    }
+
+    /// The reference of each network's first output, all mapped onto `d`.
+    fn first_outputs(d: &mut Dag, nets: &[Vec<(&str, GateType, &str)>]) -> Vec<Slit> {
+        nets.iter().map(|gates| d.map_network(&net(gates, &["o"])).0.outputs[0]).collect()
+    }
+
+    #[test]
+    fn regrouped_and_trees_map_to_one_node() {
+        use GateType::*;
+        let trees = vec![
+            vec![("t", And, "a b"), ("o", And, "t c")],
+            vec![("t", And, "b c"), ("o", And, "a t")],
+            vec![("t", Nand, "a b"), ("nc", Inv, "c"), ("o", Nor, "t nc")],
+            vec![("na", Inv, "a"), ("t", Nand, "b c"), ("o", Nor, "na t")],
+            vec![("t", Nand, "a b"), ("nc", Inv, "c"), ("u", Or, "t nc"), ("o", Inv, "u")],
+            vec![("t", And, "a b"), ("u", Nand, "t c"), ("o", Inv, "u")],
+            vec![
+                ("nb", Inv, "b"),
+                ("nc", Inv, "c"),
+                ("t", Or, "nb nc"),
+                ("u", Inv, "t"),
+                ("o", And, "a u"),
+            ],
+        ];
+        let mut d = Dag::new(4);
+        let refs = first_outputs(&mut d, &trees);
+        let abc = d.mk_and(vec![d.input(0), d.input(1), d.input(2)]);
+        assert_eq!(refs, vec![abc; trees.len()]);
+    }
+
+    #[test]
+    fn regrouped_xor_trees_map_to_one_node() {
+        use GateType::*;
+        let trees = vec![
+            vec![("t", Xor, "a b"), ("o", Xor, "t c")],
+            vec![("t", Xor, "b c"), ("o", Xor, "a t")],
+            vec![("t", Xnor, "a b"), ("o", Xnor, "t c")],
+            vec![("t", Xor, "a b"), ("u", Inv, "t"), ("o", Xnor, "u c")],
+            // An XNOR inside: the complement.
+            vec![("t", Xnor, "b c"), ("o", Xor, "a t")],
+            vec![("t", Xor, "a b"), ("u", Inv, "t"), ("o", Xor, "u c")],
+        ];
+        let mut d = Dag::new(4);
+        let refs = first_outputs(&mut d, &trees);
+        let abc = d.mk_xor(vec![d.input(0), d.input(1), d.input(2)]);
+        assert_eq!(refs, vec![abc, abc, abc, abc, !abc, !abc]);
+    }
+
+    /// `NAND(1, g)` collapses onto the node of `g`, which a second reader
+    /// shares: the NAND has one reader, but `g`'s operands must not be
+    /// spliced through it.
+    #[test]
+    fn collapsed_gates_do_not_splice_a_shared_node() {
+        use GateType::*;
+        let shared = [("g", Nor, "a b"), ("y", And, "g a")];
+        let trees: Vec<Vec<_>> = [
+            vec![("k", Nand, "one g"), ("s", Nand, "c d"), ("o", Nor, "k s")],
+            vec![("s", Nand, "c d"), ("ns", Inv, "s"), ("o", And, "g ns")],
+            vec![("t", And, "g c"), ("o", And, "t d")],
+        ]
+        .into_iter()
+        .map(|tree| shared.iter().copied().chain(tree).collect())
+        .collect();
+        let mut d = Dag::new(4);
+        let refs = first_outputs(&mut d, &trees);
+        let (a, b, c, dd) = (d.input(0), d.input(1), d.input(2), d.input(3));
+        let g = d.mk_and(vec![!a, !b]);
+        let gcd = d.mk_and(vec![g, c, dd]);
+        assert_eq!(refs, vec![gcd; 3]);
+    }
+
+    #[test]
+    fn fan_ins_with_two_readers_are_not_spliced() {
+        use GateType::*;
+        let two_gates =
+            net(&[("t", And, "a b"), ("o", And, "t c"), ("p", And, "t d")], &["o", "p"]);
+        let gate_and_port = net(&[("t", And, "a b"), ("o", And, "t c")], &["o", "t"]);
+        for n in [two_gates, gate_and_port] {
+            let mut d = Dag::new(4);
+            let (m, gate_map) = d.map_network(&n);
+            let t = gate_map[n.find_by_name("t").unwrap().index()];
+            let c = d.input(2);
+            assert_eq!(m.outputs[0], d.mk_and(vec![t, c]));
+        }
     }
 }

@@ -12,7 +12,9 @@
 //! The module split mirrors the pipeline:
 //!
 //! - [`dag`] — structural front end: both networks fold into one
-//!   hash-consed AND/XOR DAG so shared logic shares SAT variables;
+//!   hash-consed AND/XOR DAG, each fanout-free AND or XOR tree into one
+//!   node, so shared logic shares SAT variables and swapped supergates
+//!   close without the solver;
 //! - [`cnf`] — the Tseitin clause schemas, one per gate kind;
 //! - [`solver`] — the CDCL solver (two-watched literals, first-UIP
 //!   learning, VSIDS activity, phase saving, Luby restarts, assumptions);

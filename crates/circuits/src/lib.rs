@@ -25,5 +25,5 @@ pub mod generators;
 pub mod mapper;
 pub mod suite;
 
-pub use mapper::map_to_library;
+pub use mapper::{expand_xors, map_to_library};
 pub use suite::{benchmark, suite_names, BenchmarkSpec};

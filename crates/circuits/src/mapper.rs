@@ -12,9 +12,12 @@
 //!
 //! The mapping is purely structural (no Boolean matching); it preserves
 //! functionality exactly, which the tests verify by simulation.
+//! [`expand_xors`] then rewrites the XOR cells of a network as NAND2
+//! cells, the way c1355 relates to c499.
 
 use std::collections::HashMap;
 
+use rapids_netlist::topo::topological_order;
 use rapids_netlist::{BaseFunction, GateId, GateType, NetlistError, Network};
 
 /// Maps `network` onto the INV/BUF/NAND/NOR/XOR/XNOR cell set with at most
@@ -135,6 +138,60 @@ fn fresh_name(counter: &mut usize) -> String {
     name
 }
 
+/// Rewrites every XOR/XNOR gate as a chain of four-NAND2 XOR cells, one
+/// cell per extra fan-in (an XNOR adds an inverter).  Every other gate is
+/// copied; function and interface are unchanged.
+///
+/// # Panics
+///
+/// Panics if `network` is cyclic.
+pub fn expand_xors(network: &Network) -> Network {
+    let order = topological_order(network).expect("expand_xors requires an acyclic network");
+    let mut out = Network::new(format!("{}_nand", network.name()));
+    let mut map: Vec<Option<GateId>> = vec![None; network.gate_count()];
+    for &input in network.inputs() {
+        map[input.index()] = Some(out.add_input(network.gate(input).name.clone()));
+    }
+    let nand = |out: &mut Network, a: GateId, b: GateId, name: String| {
+        out.add_gate(GateType::Nand, &[a, b], name).expect("NAND2 accepts two fan-ins")
+    };
+    for g in order {
+        if map[g.index()].is_some() {
+            continue;
+        }
+        let gate = network.gate(g);
+        let fanins: Vec<GateId> = gate
+            .fanins
+            .iter()
+            .map(|f| map[f.index()].expect("fan-ins precede their gate"))
+            .collect();
+        let id = match gate.gtype {
+            GateType::Xor | GateType::Xnor => {
+                let mut acc = fanins[0];
+                for (k, &b) in fanins[1..].iter().enumerate() {
+                    let tag = format!("{}_x{k}", gate.name);
+                    let n1 = nand(&mut out, acc, b, format!("{tag}a"));
+                    let n2 = nand(&mut out, acc, n1, format!("{tag}b"));
+                    let n3 = nand(&mut out, b, n1, format!("{tag}c"));
+                    acc = nand(&mut out, n2, n3, format!("{tag}d"));
+                }
+                if gate.gtype == GateType::Xnor {
+                    out.add_gate(GateType::Inv, &[acc], gate.name.clone())
+                        .expect("an inverter accepts one fan-in")
+                } else {
+                    acc
+                }
+            }
+            gtype => out.add_gate(gtype, &fanins, gate.name.clone()).expect("copied gate is valid"),
+        };
+        map[g.index()] = Some(id);
+    }
+    for port in network.outputs() {
+        out.add_output(map[port.driver.index()].expect("outputs are driven"), port.name.clone());
+    }
+    out
+}
+
 /// Returns `true` if every logic gate of the network uses only the library
 /// cell set (INV/BUF/NAND/NOR/XOR/XNOR) with fan-in at most `max_fanin`.
 pub fn is_mapped(network: &Network, max_fanin: usize) -> bool {
@@ -158,7 +215,7 @@ mod tests {
     use super::*;
     use crate::generators::adder::ripple_carry_adder;
     use crate::generators::alu::alu;
-    use crate::generators::parity::parity_tree;
+    use crate::generators::parity::{error_corrector, parity_tree};
     use rapids_netlist::NetworkBuilder;
     use rapids_sim::check_equivalence_exhaustive;
 
@@ -234,5 +291,27 @@ mod tests {
         for (a, b) in n.outputs().iter().zip(m.outputs()) {
             assert_eq!(a.name, b.name);
         }
+    }
+
+    #[test]
+    fn expanded_xors_are_equivalent_nand_cells() {
+        let mut b = NetworkBuilder::new("xors");
+        b.inputs(["a", "b", "c", "d"]);
+        b.gate("x", GateType::Xor, &["a", "b", "c"]);
+        b.gate("y", GateType::Xnor, &["x", "d"]);
+        b.gate("z", GateType::Nor, &["a", "y"]);
+        b.output("y");
+        b.output("z");
+        let n = b.finish().unwrap();
+        let m = expand_xors(&n);
+        let stats = rapids_netlist::NetworkStats::compute(&m);
+        assert_eq!(stats.count_of(GateType::Xor) + stats.count_of(GateType::Xnor), 0);
+        assert_eq!(stats.count_of(GateType::Nand), 4 * 3);
+        assert!(check_equivalence_exhaustive(&n, &m).is_equivalent());
+
+        let ecc = map_to_library(&error_corrector(2, 5), 4).unwrap();
+        let expanded = expand_xors(&ecc);
+        assert!(expanded.check_consistency().is_ok());
+        assert!(check_equivalence_exhaustive(&ecc, &expanded).is_equivalent());
     }
 }

@@ -25,7 +25,7 @@ use rapids_circuits::generators::alu::alu;
 use rapids_circuits::generators::multiplier::array_multiplier;
 use rapids_circuits::generators::parity::error_corrector;
 use rapids_circuits::generators::random_logic::{random_logic, RandomLogicConfig};
-use rapids_circuits::{map_to_library, suite_names};
+use rapids_circuits::{expand_xors, map_to_library, suite_names};
 use rapids_core::OptimizerKind;
 use rapids_flow::{CircuitSource, Pipeline, PipelineConfig, SafetyNet};
 use rapids_netlist::{GateId, GateType, Network, NetworkBuilder, PinRef};
@@ -278,17 +278,35 @@ fn cec_agrees_with_simulation_xor_heavy() {
     optimize_and_prove("c499", OptimizerKind::Combined);
 }
 
+/// A gsg or ES swap only permutes the leaves of a fanout-free AND or XOR
+/// tree, and the structural front end maps each such tree to one node over
+/// its leaves: the optimizer's output closes without the solver.
+#[test]
+fn swapped_supergates_close_structurally() {
+    for name in ["c3540", "c7552"] {
+        let (before, after) = optimized_pair(name, OptimizerKind::Combined);
+        let (result, stats) = check_equivalence_with_stats(&before, &after, &CecConfig::default());
+        assert!(matches!(result, CecResult::EquivalentProven), "{name}: not proven: {result:?}");
+        assert_eq!(stats.solved_pairs, 0, "{name}: {stats:?}");
+    }
+}
+
 /// Each refuting model splits the candidate classes, and the classes
 /// partition the swept nodes, so a sweep refutes fewer times than the DAG
 /// has nodes.  A sweep that does not apply a refuting model to every class
 /// at once refutes a large class member by member and breaks this bound.
 /// The check is also a pure function of its inputs: the serve verdict cache
 /// and the pinned verify smoke rely on a rerun repeating every count.
+///
+/// The optimized side has its XOR cells expanded into NAND2 gates, so the
+/// pair cannot close structurally and must reach the sweep.
 #[test]
 fn refuting_models_split_candidate_classes() {
     let (before, after) = optimized_pair("c7552", OptimizerKind::Combined);
+    let after = expand_xors(&after);
     let (result, stats) = check_equivalence_with_stats(&before, &after, &CecConfig::default());
     assert!(matches!(result, CecResult::EquivalentProven), "c7552: not proven: {result:?}");
+    assert!(stats.sweep_refuted > 0, "c7552: the sweep refuted nothing: {stats:?}");
     assert!(
         stats.sweep_refuted < stats.dag_nodes as u64,
         "c7552: {} refutations on {} DAG nodes",
@@ -389,7 +407,8 @@ fn cancelled_xor_operands_are_still_encoded() {
 // ---------------------------------------------------------------------------
 
 /// Acceptance criterion: CEC proves UNSAT for every design in the 19-entry
-/// Table 1 suite after the full gsg+GS optimization with ES swaps, and each
+/// Table 1 suite after the full gsg+GS optimization with ES swaps, each
+/// without the solver (every output pair closes structurally), and each
 /// sweep refutes fewer times than its DAG has nodes.
 #[test]
 #[ignore = "whole-suite proof sweep; run with --release -- --ignored"]
@@ -408,6 +427,7 @@ fn cec_proves_full_suite_after_combined_es() {
             matches!(result, CecResult::EquivalentProven),
             "{name}: not proven ({result:?}; {stats:?})"
         );
+        assert_eq!(stats.solved_pairs, 0, "{name}: needed the solver ({stats:?})");
         assert!(
             stats.sweep_refuted < stats.dag_nodes as u64,
             "{name}: {} refutations on {} DAG nodes",
