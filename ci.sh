@@ -91,6 +91,16 @@ echo "==> legalization QoR smoke (ES + row-legal placements)"
 timeout 120 ./target/release/table1 --threads 2 --es --legalize c1908 alu4 x3 \
     --check ci/expected_qor_smoke_legal.json > /dev/null
 
+echo "==> full-suite QoR pins (all 19 rows, default and --es --legalize)"
+# The smokes above cover three designs with 26-36 output ports; these pin
+# every Table 1 row, including c499, c1355 and s38417 with 256 ports each,
+# so a change to port bookkeeping or cell lookup that moves any row's
+# delay, area or decision counts fails here.  A few seconds in release.
+timeout 300 ./target/release/table1 --threads 2 \
+    --check ci/expected_qor_full.json > /dev/null
+timeout 300 ./target/release/table1 --threads 2 --es --legalize \
+    --check ci/expected_qor_full_es_legal.json > /dev/null
+
 echo "==> serve smoke (batch service over suite designs + a .blif fixture)"
 # Three fast suite designs plus the committed fixture, scheduled across two
 # workers: the canonically sorted JSONL must match the pinned expectation
@@ -154,7 +164,7 @@ timeout 120 ./target/release/rapids-serve --fast --workers 2 --sort \
     --trace-out target/ci_trace.json --metrics-out target/ci_metrics.json \
     2> /dev/null | diff - ci/expected_serve_smoke.jsonl
 ./target/release/trace_check target/ci_trace.json \
-    serve.job serve.resolve serve.run stage.sta sta.full optimizer.pass > /dev/null
+    serve.job serve.resolve serve.run stage.sta sta.full sta.update optimizer.pass > /dev/null
 sed -n '/^  "counters": {$/,/^  },$/p' target/ci_metrics.json \
     | diff - ci/expected_metrics_smoke.json
 

@@ -271,12 +271,6 @@ impl Dag {
         let order = topological_order(network).expect("CEC requires an acyclic network");
         let mut gate_map: Vec<Slit> = vec![Slit::FALSE; network.gate_count()];
         let mut spliceable = vec![false; network.gate_count()];
-        // Output ports per gate, counted once for `Network::is_fanout_free`'s
-        // test below.
-        let mut ports: Vec<usize> = vec![0; network.gate_count()];
-        for port in network.outputs() {
-            ports[port.driver.index()] += 1;
-        }
         let mut input_index: HashMap<usize, usize> = HashMap::new();
         for (i, &g) in network.inputs().iter().enumerate() {
             input_index.insert(g.index(), i);
@@ -333,7 +327,7 @@ impl Dag {
                 }
             };
             gate_map[g.index()] = if gate.gtype.output_inverted() { !slit } else { slit };
-            spliceable[g.index()] = own_node && network.fanouts(g).len() + ports[g.index()] <= 1;
+            spliceable[g.index()] = own_node && network.is_fanout_free(g);
         }
         let outputs = network.outputs().iter().map(|port| gate_map[port.driver.index()]).collect();
         (MappedOutputs { outputs }, gate_map)

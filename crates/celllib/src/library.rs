@@ -1,18 +1,40 @@
 //! The standard-cell library: a catalogue of [`Cell`]s indexed by function,
 //! fan-in count and drive strength.
 
-use std::collections::HashMap;
-
 use rapids_netlist::{Gate, GateType};
 
 use crate::cell::{Cell, DriveStrength};
 
-/// Key used for cell lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CellKey {
-    function: GateType,
-    input_count: usize,
-    drive: DriveStrength,
+/// Functions per table row: one per [`GateType`] (see [`function_slot`]).
+const FUNCTIONS: usize = 11;
+
+/// Drives per function: one per [`DriveStrength`].
+const DRIVES: usize = DriveStrength::ALL.len();
+
+/// Table slots per arity.
+const ROW: usize = FUNCTIONS * DRIVES;
+
+/// Position of a function within a table row.  The match is exhaustive, so
+/// a new gate type fails to compile here until the row makes room for it.
+fn function_slot(function: GateType) -> usize {
+    match function {
+        GateType::Input => 0,
+        GateType::Const0 => 1,
+        GateType::Const1 => 2,
+        GateType::Buf => 3,
+        GateType::Inv => 4,
+        GateType::And => 5,
+        GateType::Or => 6,
+        GateType::Xor => 7,
+        GateType::Nand => 8,
+        GateType::Nor => 9,
+        GateType::Xnor => 10,
+    }
+}
+
+/// Index of `(input_count, function, drive)` in the dense table.
+fn slot(function: GateType, input_count: usize, drive: DriveStrength) -> usize {
+    input_count * ROW + function_slot(function) * DRIVES + usize::from(drive.size_class())
 }
 
 /// A technology library: the set of available cells plus lookup helpers.
@@ -22,16 +44,21 @@ struct CellKey {
 /// 2–4 inputs, 4 drive strengths).  AND/OR/XNOR-free netlists produced by the
 /// technology mapper only use those cells, but the library also characterizes
 /// AND/OR cells so that hand-built example networks can be timed directly.
+///
+/// Cells live in a dense table indexed by (input count, function, drive),
+/// which grows to the widest arity added, so [`Library::cell`] and
+/// [`Library::cell_for_gate`] are O(1): timing looks a cell up once per
+/// sink pin and once per driver of every net it evaluates.
 #[derive(Debug, Clone)]
 pub struct Library {
     name: String,
-    cells: HashMap<CellKey, Cell>,
+    table: Vec<Option<Cell>>,
 }
 
 impl Library {
     /// Creates an empty library.
     pub fn new(name: impl Into<String>) -> Self {
-        Library { name: name.into(), cells: HashMap::new() }
+        Library { name: name.into(), table: Vec::new() }
     }
 
     /// Library name.
@@ -41,19 +68,26 @@ impl Library {
 
     /// Number of cells in the library.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.table.iter().flatten().count()
     }
 
     /// Returns `true` if the library holds no cells.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.table.iter().all(Option::is_none)
+    }
+
+    /// Number of arities the table covers: `0..arities()`.
+    fn arities(&self) -> usize {
+        self.table.len() / ROW
     }
 
     /// Adds (or replaces) a cell.
     pub fn add_cell(&mut self, cell: Cell) {
-        let key =
-            CellKey { function: cell.function, input_count: cell.input_count, drive: cell.drive };
-        self.cells.insert(key, cell);
+        if cell.input_count >= self.arities() {
+            self.table.resize((cell.input_count + 1) * ROW, None);
+        }
+        let at = slot(cell.function, cell.input_count, cell.drive);
+        self.table[at] = Some(cell);
     }
 
     /// Looks up a cell by function, fan-in count and drive strength.
@@ -63,20 +97,21 @@ impl Library {
         input_count: usize,
         drive: DriveStrength,
     ) -> Option<&Cell> {
-        self.cells.get(&CellKey { function, input_count, drive })
+        if input_count >= self.arities() {
+            return None;
+        }
+        self.table[slot(function, input_count, drive)].as_ref()
     }
 
     /// Returns the cell that implements a netlist gate given its current
-    /// `size_class`, falling back to the nearest available fan-in count if the
-    /// exact arity is not characterized (e.g. 6-input AND in a hand-built
-    /// example network).
+    /// `size_class`, falling back to the largest characterized fan-in count
+    /// below the gate's own if the exact arity is not characterized (e.g.
+    /// 6-input AND in a hand-built example network).
     pub fn cell_for_gate(&self, gate: &Gate) -> Option<&Cell> {
         let drive = DriveStrength::from_size_class(gate.size_class);
-        let n = gate.fanin_count().max(1);
-        if let Some(c) = self.cell(gate.gtype, n, drive) {
-            return Some(c);
-        }
-        // Fall back to the largest characterized arity of the same function.
+        // Arities past the table hold no cell, so the search starts at the
+        // widest arity the table has.
+        let n = gate.fanin_count().max(1).min(self.arities().saturating_sub(1));
         (1..=n).rev().find_map(|k| self.cell(gate.gtype, k, drive))
     }
 
@@ -112,6 +147,14 @@ impl Library {
     /// the standard constant-RC-product idealization.
     pub fn standard_035um() -> Library {
         let mut lib = Library::new("rapids-0.35um");
+        for cell in Library::standard_035um_cells() {
+            lib.add_cell(cell);
+        }
+        lib
+    }
+
+    /// The cells of [`Library::standard_035um`], in the order it adds them.
+    fn standard_035um_cells() -> Vec<Cell> {
         struct Proto {
             function: GateType,
             inputs: usize,
@@ -202,10 +245,11 @@ impl Library {
                 fall: 0.102 + 0.022 * nf,
             });
         }
+        let mut cells = Vec::with_capacity(protos.len() * DriveStrength::ALL.len());
         for p in protos {
             for drive in DriveStrength::ALL {
                 let k = drive.factor();
-                lib.add_cell(Cell {
+                cells.push(Cell {
                     function: p.function,
                     input_count: p.inputs,
                     drive,
@@ -217,7 +261,7 @@ impl Library {
                 });
             }
         }
-        lib
+        cells
     }
 }
 
@@ -230,7 +274,7 @@ impl Default for Library {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rapids_netlist::Gate;
+    use rapids_netlist::{Gate, GateId};
 
     #[test]
     fn standard_library_has_four_drives_per_function() {
@@ -292,7 +336,70 @@ mod tests {
     fn missing_cell_is_none() {
         let lib = Library::standard_035um();
         assert!(lib.cell(GateType::Nand, 7, DriveStrength::X1).is_none());
-        assert!(lib.cell(GateType::Input, 0, DriveStrength::X1).is_none());
+        assert!(lib.cell(GateType::Nand, usize::MAX, DriveStrength::X8).is_none());
+        for n in 0..=2 {
+            assert!(lib.cell(GateType::Input, n, DriveStrength::X1).is_none());
+        }
+        assert!(lib.cell_for_gate(&Gate::new(GateType::Input, Vec::new(), "pi")).is_none());
+        let empty = Library::new("empty");
+        assert!(empty.cell_for_gate(&Gate::new(GateType::Inv, vec![0.into()], "i")).is_none());
+    }
+
+    #[test]
+    fn every_standard_cell_looks_up_as_built() {
+        let lib = Library::standard_035um();
+        let built = Library::standard_035um_cells();
+        assert_eq!(built.len(), 80);
+        for c in &built {
+            assert_eq!(lib.cell(c.function, c.input_count, c.drive), Some(c));
+        }
+        // And nothing else is in the table: every hit is one of the built cells.
+        let mut hits = 0;
+        let sources = [GateType::Input, GateType::Const0, GateType::Const1];
+        for f in sources.into_iter().chain(GateType::LOGIC_TYPES) {
+            for n in 0..=5 {
+                for d in DriveStrength::ALL {
+                    if let Some(c) = lib.cell(f, n, d) {
+                        assert!((c.function, c.input_count, c.drive) == (f, n, d));
+                        hits += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(hits, lib.len());
+    }
+
+    #[test]
+    fn re_adding_a_cell_replaces_it_in_place() {
+        let mut lib = Library::standard_035um();
+        let mut nand2 = lib.cell(GateType::Nand, 2, DriveStrength::X2).unwrap().clone();
+        nand2.area_um2 += 1.0;
+        lib.add_cell(nand2.clone());
+        assert_eq!(lib.len(), 80);
+        assert_eq!(lib.cell(GateType::Nand, 2, DriveStrength::X2), Some(&nand2));
+    }
+
+    #[test]
+    fn cell_for_gate_clamps_to_the_widest_arity() {
+        let lib = Library::standard_035um();
+        let fanins = |n: u32| (0..n).map(GateId::from).collect::<Vec<_>>();
+        for n in [5, 1000] {
+            let c = lib.cell_for_gate(&Gate::new(GateType::And, fanins(n), "wide")).unwrap();
+            assert_eq!((c.function, c.input_count), (GateType::And, 4), "AND{n}");
+        }
+        // Below the widest arity, a missing arity falls back to the next
+        // narrower one: this library has XOR3 but no XOR4.
+        let mut lib = Library::new("gaps");
+        for n in [2, 3] {
+            lib.add_cell(Cell { input_count: n, ..xor_cell() });
+        }
+        lib.add_cell(Cell { function: GateType::Nand, input_count: 6, ..xor_cell() });
+        let c = lib.cell_for_gate(&Gate::new(GateType::Xor, fanins(5), "x5")).unwrap();
+        assert_eq!(c.input_count, 3);
+    }
+
+    fn xor_cell() -> Cell {
+        Library::standard_035um().cell(GateType::Xor, 2, DriveStrength::X1).unwrap().clone()
     }
 
     #[test]

@@ -293,7 +293,10 @@ impl Optimizer {
         let initial_delay_ns = inc.report().critical_delay_ns();
         let initial_area_um2 = library.network_area_um2(network);
         let initial_hpwl_um = placement.total_hpwl_um(network);
-        let mut extraction = extract_supergates(network);
+        let mut extraction = {
+            let _span = rapids_obs::span("optimizer.extract");
+            extract_supergates(network)
+        };
         let statistics = SupergateStatistics::compute(network, &extraction);
         let mut cache = NetCache::for_network(network);
 
@@ -438,6 +441,7 @@ impl Optimizer {
             // non-inverting swaps only exchange leaf drivers, which
             // `swap_candidates_in` re-reads, so the extraction is reusable.
             if network.gate_count() != extraction_slots {
+                let _span = rapids_obs::span("optimizer.extract");
                 *extraction = extract_supergates(network);
                 extraction_slots = network.gate_count();
             }
@@ -567,6 +571,7 @@ impl Optimizer {
         list: &[&Supergate],
         journal: &mut Vec<AppliedSwap>,
     ) {
+        let _span = rapids_obs::span("optimizer.visit");
         let include_inverting = self.config.include_inverting_swaps;
         rapids_sizing::parallel::visit_in_disjoint_batches(
             network,
@@ -636,6 +641,7 @@ impl Optimizer {
                 report.slack(a).total_cmp(&report.slack(b)).then_with(|| a.cmp(&b))
             });
             let mut journal: Vec<(GateId, u8)> = Vec::new();
+            let visit_span = rapids_obs::span("optimizer.sizing_visit");
             for g in gates {
                 let is_critical = report.slack(g) <= worst + self.config.critical_margin_ns;
                 if !is_critical && !self.config.sizer.recover_area {
@@ -661,6 +667,7 @@ impl Optimizer {
                     resized.insert(g);
                 }
             }
+            drop(visit_span);
             if journal.is_empty() {
                 break;
             }

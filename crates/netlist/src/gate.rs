@@ -387,12 +387,16 @@ pub struct Gate {
     pub size_class: u8,
     /// Tombstone marker; removed gates keep their slot so ids stay stable.
     pub removed: bool,
+    /// Number of primary-output ports the gate drives, kept current by the
+    /// port edits of [`crate::Network`]; fits the padding after the
+    /// single-byte fields, so the record stays 56 bytes.
+    pub(crate) output_ports: u32,
 }
 
 impl Gate {
     /// Creates a new live gate.
     pub fn new(gtype: GateType, fanins: Vec<GateId>, name: impl Into<String>) -> Self {
-        Gate { gtype, fanins, name: name.into(), size_class: 0, removed: false }
+        Gate { gtype, fanins, name: name.into(), size_class: 0, removed: false, output_ports: 0 }
     }
 
     /// Number of in-pins.
@@ -411,6 +415,12 @@ impl Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn port_count_fits_the_record_padding() {
+        assert_eq!(std::mem::size_of::<Gate>(), 56);
+    }
 
     #[test]
     fn controlling_values_match_paper() {

@@ -117,7 +117,12 @@ impl Network {
     }
 
     /// Declares `driver` to be a primary output named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
     pub fn add_output(&mut self, driver: GateId, name: impl Into<String>) {
+        self.gates[driver.index()].output_ports += 1;
         self.outputs.push(OutputPort { driver, name: name.into() });
     }
 
@@ -309,20 +314,27 @@ impl Network {
 
     /// Number of sink pins driven by this gate plus the number of primary
     /// outputs it drives (the net degree used by the star wire model).
+    /// O(1): each gate carries its output-port count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
     pub fn fanout_degree(&self, id: GateId) -> usize {
-        self.fanouts[id.index()].len() + self.outputs.iter().filter(|o| o.driver == id).count()
+        self.fanouts[id.index()].len() + self.gates[id.index()].output_ports as usize
     }
 
     /// Returns `true` if the gate drives at most one sink pin and no more
     /// than one primary output in total — the *fanout-free* condition used
-    /// throughout §3 of the paper.
+    /// throughout §3 of the paper.  O(1), like [`Network::fanout_degree`].
     pub fn is_fanout_free(&self, id: GateId) -> bool {
         self.fanout_degree(id) <= 1
     }
 
-    /// Returns `true` if the gate drives a primary output port.
+    /// Returns `true` if the gate drives a primary output port.  O(1): each
+    /// gate carries its output-port count.  Total: an id past the slot
+    /// count drives nothing.
     pub fn drives_output(&self, id: GateId) -> bool {
-        self.outputs.iter().any(|o| o.driver == id)
+        self.gates.get(id.index()).is_some_and(|g| g.output_ports > 0)
     }
 
     /// Iterator over live gate ids.
@@ -563,7 +575,9 @@ impl Network {
     /// reused slot before reading it, exactly as for a fresh slot.
     pub fn pop_trailing_tombstone(&mut self) -> bool {
         match self.gates.last() {
-            Some(g) if g.removed => {}
+            // A tomb-stone drives no port: `remove_if_dangling` refuses
+            // port drivers, so the popped slot takes no count with it.
+            Some(g) if g.removed => debug_assert_eq!(g.output_ports, 0),
             _ => return false,
         }
         self.gates.pop();
@@ -627,11 +641,7 @@ impl Network {
                 self.replace_pin_driver(PinRef::new(sink, idx), replacement)?;
             }
         }
-        for o in &mut self.outputs {
-            if o.driver == gate {
-                o.driver = replacement;
-            }
-        }
+        self.redirect_output_ports(gate, replacement)?;
         self.remove_if_dangling(gate);
         Ok(())
     }
@@ -654,6 +664,10 @@ impl Network {
                 o.driver = to;
                 moved += 1;
             }
+        }
+        if moved > 0 {
+            self.gates[from.index()].output_ports -= moved as u32;
+            self.gates[to.index()].output_ports += moved as u32;
         }
         Ok(moved)
     }
@@ -701,10 +715,21 @@ impl Network {
         if expected_fanouts != actual_fanouts {
             return Err("fanout lists are out of sync with fanin lists".to_string());
         }
-        // Outputs reference live gates.
+        // Outputs reference live gates, and every gate's port count
+        // matches a rescan of the ports.
+        let mut ports = vec![0u32; self.gates.len()];
         for o in &self.outputs {
             if !self.is_live(o.driver) {
                 return Err(format!("output {} driven by dead gate {}", o.name, o.driver));
+            }
+            ports[o.driver.index()] += 1;
+        }
+        for (i, (g, &count)) in self.gates.iter().zip(&ports).enumerate() {
+            if g.output_ports != count {
+                return Err(format!(
+                    "gate g{i} counts {} output ports but drives {count}",
+                    g.output_ports
+                ));
             }
         }
         // Acyclicity via the topological sort.
@@ -900,6 +925,75 @@ mod tests {
         n.insert_inverter(PinRef::new(g1, 0), "inv0").unwrap();
         assert!(n.topo_hint().is_none());
         assert!(n.check_consistency().is_ok());
+    }
+
+    /// Checks the O(1) port queries of every slot against a scan of the
+    /// output ports, plus the network's own consistency check.
+    fn assert_port_counts_match_scan(n: &Network) {
+        n.check_consistency().unwrap();
+        for i in 0..n.gate_count() {
+            let id = GateId(i as u32);
+            let ports = n.outputs().iter().filter(|o| o.driver == id).count();
+            let degree = n.fanouts(id).len() + ports;
+            assert_eq!(n.drives_output(id), ports > 0, "drives_output({id})");
+            assert_eq!(n.fanout_degree(id), degree, "fanout_degree({id})");
+            assert_eq!(n.is_fanout_free(id), degree <= 1, "is_fanout_free({id})");
+        }
+    }
+
+    #[test]
+    fn port_counts_follow_every_port_edit() {
+        let (mut n, a, b, c, g1) = small();
+        let f = n.find_by_name("f").unwrap();
+        assert_port_counts_match_scan(&n);
+        // Two more ports on g1 and one on input a.
+        n.add_output(g1, "g1_a");
+        n.add_output(g1, "g1_b");
+        n.add_output(a, "a_copy");
+        assert_port_counts_match_scan(&n);
+        assert!(!n.is_fanout_free(g1));
+        // Move both of g1's ports to a fresh gate, then move them back.
+        let h = n.add_gate(GateType::Nand, &[b, c], "h").unwrap();
+        assert_eq!(n.redirect_output_ports(g1, h).unwrap(), 2);
+        assert_port_counts_match_scan(&n);
+        assert!(n.is_fanout_free(g1) && !n.drives_output(g1));
+        assert_eq!(n.redirect_output_ports(h, g1).unwrap(), 2);
+        assert_eq!(n.redirect_output_ports(h, g1).unwrap(), 0);
+        assert_port_counts_match_scan(&n);
+        // Redirecting a gate onto itself keeps its count.
+        assert_eq!(n.redirect_output_ports(g1, g1).unwrap(), 2);
+        assert_port_counts_match_scan(&n);
+        // Replacing g1 moves its sink pin and both ports onto h, and
+        // tomb-stones g1.
+        n.replace_all_uses(g1, h).unwrap();
+        assert!(!n.is_live(g1));
+        assert_eq!(n.fanout_degree(h), 3);
+        assert_port_counts_match_scan(&n);
+        // Free f's pin from h and move h's ports to f: h dangles and is
+        // swept, f now drives three ports.
+        n.replace_pin_driver(PinRef::new(f, 0), a).unwrap();
+        n.redirect_output_ports(h, f).unwrap();
+        assert_eq!(n.sweep_dangling(), 1);
+        assert!(!n.is_live(h));
+        assert_port_counts_match_scan(&n);
+        // h was the last slot: popping it leaves every count in place.
+        assert!(n.pop_trailing_tombstone());
+        assert_eq!(n.gate_count(), h.index());
+        assert_port_counts_match_scan(&n);
+        assert!(!n.drives_output(h), "an id past the slot count drives nothing");
+        // The reused slot starts with no ports.
+        let h2 = n.add_gate(GateType::Inv, &[c], "h2").unwrap();
+        assert_eq!(h2, h);
+        assert_port_counts_match_scan(&n);
+        assert!(n.is_fanout_free(h2));
+    }
+
+    #[test]
+    fn check_consistency_catches_a_stale_port_count() {
+        let (mut n, _a, _b, _c, g1) = small();
+        n.gates[g1.index()].output_ports = 1;
+        let err = n.check_consistency().unwrap_err();
+        assert!(err.contains("output ports"), "{err}");
     }
 
     #[test]

@@ -254,6 +254,7 @@ impl GateSizer {
         cache: &mut NetCache,
         resized: &mut HashSet<GateId>,
     ) -> SizeJournal {
+        let _span = rapids_obs::span("sizer.visit_min");
         let worst = report.worst_slack_ns();
         let mut critical: Vec<GateId> = network
             .iter_logic()
@@ -279,6 +280,7 @@ impl GateSizer {
         cache: &mut NetCache,
         resized: &mut HashSet<GateId>,
     ) -> SizeJournal {
+        let _span = rapids_obs::span("sizer.visit_relax");
         let worst = report.worst_slack_ns();
         let relaxed: Vec<GateId> = network
             .iter_logic()

@@ -251,6 +251,7 @@ impl IncrementalSta {
         if touched.is_empty() {
             return;
         }
+        let _span = rapids_obs::span("sta.update");
         if network.gate_count() > self.view.slots() {
             self.report.ensure_slots(network.gate_count());
             self.rebuild_view(network);

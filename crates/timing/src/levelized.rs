@@ -54,7 +54,7 @@ use rapids_placement::{net_star, Placement};
 
 use crate::elmore::{net_delays, NetDelays};
 use crate::rc::TimingConfig;
-use crate::sta::{clamp_required, output_driver_mask, ArrivalTime, TimingReport};
+use crate::sta::{clamp_required, ArrivalTime, TimingReport};
 
 /// Polarity class of a gate, precomputed so the sweep kernels never touch
 /// the gate table.
@@ -149,7 +149,7 @@ impl LevelizedView {
             num_levels,
             level,
             kind,
-            drives_output: output_driver_mask(network),
+            drives_output: (0..slots).map(|s| network.drives_output(GateId(s as u32))).collect(),
             adjacency,
             fanin_wire,
             fanout_wire,

@@ -134,15 +134,6 @@ impl TimingReport {
 // Shared propagation kernels (used by `Sta::analyze` and `IncrementalSta`)
 // ----------------------------------------------------------------------
 
-/// `true` per slot for gates that drive a primary-output port.
-pub(crate) fn output_driver_mask(network: &Network) -> Vec<bool> {
-    let mut mask = vec![false; network.gate_count()];
-    for o in network.outputs() {
-        mask[o.driver.index()] = true;
-    }
-    mask
-}
-
 /// Recomputes the net parasitics and the cell delay of one gate from the
 /// current connectivity, placement and drive strength.
 pub(crate) fn refresh_parasitics(
@@ -307,7 +298,6 @@ impl Sta {
         let required_time_ns = config.required_time_ns.unwrap_or(critical_delay_ns);
 
         // Backward required-time min-propagation (worst-case, single value).
-        let drives = output_driver_mask(network);
         let mut required_raw = vec![f64::INFINITY; slots];
         for &g in order.iter().rev() {
             required_raw[g.index()] = required_raw_of(
@@ -316,7 +306,7 @@ impl Sta {
                 &nets,
                 &gate_delays,
                 &required_raw,
-                drives[g.index()],
+                network.drives_output(g),
                 required_time_ns,
             );
         }

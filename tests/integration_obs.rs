@@ -115,7 +115,20 @@ fn trace_events_are_well_formed_and_nested() {
     let events = rapids_obs::trace::take_events();
     assert!(!events.is_empty());
 
-    for required in ["serve.job", "serve.resolve", "serve.run", "stage.sta", "sta.full"] {
+    let required = [
+        "serve.job",
+        "serve.resolve",
+        "serve.run",
+        "stage.sta",
+        "sta.full",
+        "sta.update",
+        "optimizer.extract",
+        "optimizer.visit",
+        "optimizer.sizing_visit",
+        "sizer.visit_min",
+        "sizer.visit_relax",
+    ];
+    for required in required {
         assert!(
             events.iter().any(|e| e.name == required),
             "expected at least one `{required}` span, got names {:?}",
