@@ -23,6 +23,22 @@ for t in tests/*.rs; do
     fi
 done
 
+echo "==> orphan-pin guard (every top-level file under ci/ must be named by ci.sh or a test)"
+# A pin or job list that no step reads is dead weight that still looks like
+# a contract; list every such file and fail.
+orphans=()
+for f in ci/*; do
+    [ -f "$f" ] || continue
+    name=$(basename "$f")
+    if ! grep -qF "$name" ci.sh && ! grep -rqF --include='*.rs' "$name" tests crates/*/tests; then
+        orphans+=("$f")
+    fi
+done
+if [ ${#orphans[@]} -gt 0 ]; then
+    echo "error: named by neither ci.sh nor a test: ${orphans[*]}" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (all targets, warnings are errors)"
 # No allowlist flags here: the few intentional lint exceptions are local
 # #[allow]s with justifying comments at the exact sites (eq_op oracle in

@@ -5,10 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use rapids_bench::table1::{run_benchmark, FlowConfig};
+use rapids_bench::table1::run_benchmark;
 use rapids_celllib::Library;
 use rapids_circuits::benchmark;
 use rapids_core::{Optimizer, OptimizerConfig, OptimizerKind};
+use rapids_flow::PipelineConfig;
 use rapids_placement::{place, PlacerConfig};
 use rapids_timing::TimingConfig;
 
@@ -60,7 +61,7 @@ fn bench_verification_overhead(c: &mut Criterion) {
             &verify,
             |b, &verify| {
                 b.iter(|| {
-                    let mut config = FlowConfig::fast();
+                    let mut config = PipelineConfig::fast();
                     config.optimizer.verify_with_simulation = verify;
                     run_benchmark(std::hint::black_box("c432"), &config)
                 });

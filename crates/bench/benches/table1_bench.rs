@@ -5,14 +5,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use rapids_bench::table1::{run_benchmark, FlowConfig};
+use rapids_bench::table1::run_benchmark;
+use rapids_flow::PipelineConfig;
 
 fn bench_flow(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_flow");
     group.sample_size(10);
     for name in ["c432", "alu2"] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, &name| {
-            b.iter(|| run_benchmark(std::hint::black_box(name), &FlowConfig::fast()));
+            b.iter(|| run_benchmark(std::hint::black_box(name), &PipelineConfig::fast()));
         });
     }
     group.finish();

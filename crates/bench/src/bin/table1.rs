@@ -1,4 +1,4 @@
-//! Regenerates Table 1 of the paper and serves as the perf harness.
+//! Regenerates Table 1 of the paper and pins its QoR.
 //!
 //! Usage:
 //!
@@ -6,10 +6,7 @@
 //! cargo run -p rapids-bench --release --bin table1              # full 19-benchmark suite
 //! cargo run -p rapids-bench --release --bin table1 -- --fast    # reduced effort
 //! cargo run -p rapids-bench --release --bin table1 -- alu2 c432 # selected benchmarks
-//! cargo run -p rapids-bench --release --bin table1 -- --json out.json
 //! cargo run -p rapids-bench --release --bin table1 -- --threads 8       # thread-per-design
-//! cargo run -p rapids-bench --release --bin table1 -- --bench-out BENCH_pr2.json \
-//!     --baseline ci/baseline_pr1.json    # perf report, baseline embedded
 //! cargo run -p rapids-bench --release --bin table1 -- --qor-out expected.json
 //! cargo run -p rapids-bench --release --bin table1 -- --check expected.json  # CI regression
 //! cargo run -p rapids-bench --release --bin table1 -- --es     # allow inverting (ES) swaps
@@ -17,20 +14,19 @@
 //! cargo run -p rapids-bench --release --bin table1 -- --blif-dir designs/  # real netlists
 //! cargo run -p rapids-bench --release --bin table1 -- --trace-out trace.json # Chrome trace
 //! ```
+//!
+//! Exit codes: 0 on success, 1 when `--check` finds a QoR difference, 2 for
+//! a bad flag or a file that cannot be read or written.
 
 use std::io::Write as _;
 
-use rapids_bench::table1::{
-    all_names, bench_report, format_table, results_to_json, results_to_qor_json, run_blif_dir,
-    run_suite_threaded, FlowConfig,
-};
+use rapids_bench::table1::{format_table, results_to_qor_json, run_blif_dir, run_suite};
+use rapids_circuits::suite_names;
+use rapids_flow::PipelineConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = FlowConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut bench_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
+    let mut config = PipelineConfig::default();
     let mut qor_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut threads = 1usize;
@@ -48,12 +44,9 @@ fn main() {
     };
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--fast" => config = FlowConfig::fast(),
+            "--fast" => config = PipelineConfig::fast(),
             "--es" => include_inverting = true,
             "--legalize" => legalize = true,
-            "--json" => json_path = Some(path_arg(&mut iter, "--json")),
-            "--bench-out" => bench_path = Some(path_arg(&mut iter, "--bench-out")),
-            "--baseline" => baseline_path = Some(path_arg(&mut iter, "--baseline")),
             "--qor-out" => qor_path = Some(path_arg(&mut iter, "--qor-out")),
             "--check" => check_path = Some(path_arg(&mut iter, "--check")),
             "--blif-dir" => blif_dirs.push(path_arg(&mut iter, "--blif-dir")),
@@ -73,6 +66,12 @@ fn main() {
             name => names.push(name.to_string()),
         }
     }
+    // Read the expectation before the run, so a missing file fails fast.
+    let expected = check_path.map(|path| {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| io_failure("read expected QoR report", &path, e));
+        (path, text)
+    });
     // Span recording is opt-in: without the sink installed every span in
     // the flow is a no-op.
     if trace_path.is_some() {
@@ -85,7 +84,7 @@ fn main() {
     // full synthetic suite stays the default otherwise.
     let selected: Vec<&str> = if names.is_empty() {
         if blif_dirs.is_empty() {
-            all_names()
+            suite_names()
         } else {
             Vec::new()
         }
@@ -99,10 +98,10 @@ fn main() {
         is_fast(&config)
     );
     println!(
-        "columns: circuit, gates, initial delay (ns), delay improvement %% of gsg / GS / gsg+GS,"
+        "columns: circuit, gates, initial delay (ns), delay improvement % of gsg / GS / gsg+GS,"
     );
     println!(
-        "         CPU s of gsg / GS / gsg+GS, area %% of GS / gsg+GS, coverage %%, L, redundancies"
+        "         CPU s of gsg / GS / gsg+GS, area % of GS / gsg+GS, coverage %, L, redundancies"
     );
     println!();
 
@@ -110,11 +109,11 @@ fn main() {
         eprintln!("queued {name}");
     }
     let _ = std::io::stderr().flush();
-    let mut results = run_suite_threaded(&selected, &config, threads);
+    let mut results = run_suite(&selected, &config, threads);
     if results.len() != selected.len() {
         eprintln!("note: {} unknown benchmark(s) skipped", selected.len() - results.len());
     }
-    // Discovered `.blif` rows ride the same table/JSON/QoR plumbing as the
+    // Discovered `.blif` rows ride the same table/QoR plumbing as the
     // synthetic suite, appended in discovery order.
     for dir in &blif_dirs {
         results.extend(run_blif_dir(std::path::Path::new(dir), &config, threads));
@@ -122,32 +121,17 @@ fn main() {
 
     println!("{}", format_table(&results));
 
-    if let Some(path) = json_path {
-        std::fs::write(&path, results_to_json(&results)).expect("write JSON report");
-        println!("JSON report written to {path}");
-    }
-    if let Some(path) = bench_path {
-        let baseline = baseline_path.map(|p| {
-            std::fs::read_to_string(&p)
-                .unwrap_or_else(|e| panic!("read baseline document {p}: {e}"))
-        });
-        let report = bench_report(&results, threads, baseline.as_deref());
-        std::fs::write(&path, report).expect("write bench report");
-        println!("perf report written to {path}");
-    }
+    let actual = results_to_qor_json(&results);
     if let Some(path) = qor_path {
-        std::fs::write(&path, results_to_qor_json(&results)).expect("write QoR report");
+        std::fs::write(&path, &actual).unwrap_or_else(|e| io_failure("write QoR report", &path, e));
         println!("QoR report written to {path}");
     }
     if let Some(path) = trace_path {
         rapids_obs::trace::write_chrome_trace(std::path::Path::new(&path))
-            .unwrap_or_else(|e| panic!("write trace {path}: {e}"));
+            .unwrap_or_else(|e| io_failure("write trace", &path, e));
         println!("Chrome trace written to {path}");
     }
-    if let Some(path) = check_path {
-        let expected = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read expected QoR report {path}: {e}"));
-        let actual = results_to_qor_json(&results);
+    if let Some((path, expected)) = expected {
         if expected.trim() == actual.trim() {
             println!("QoR check against {path}: OK");
         } else {
@@ -159,6 +143,13 @@ fn main() {
     }
 }
 
-fn is_fast(config: &FlowConfig) -> bool {
+fn is_fast(config: &PipelineConfig) -> bool {
     config.placer.moves_per_gate < 20
+}
+
+/// Reports a file that cannot be read or written on one stderr line and
+/// exits 2, as for a bad flag.
+fn io_failure(what: &str, path: &str, error: std::io::Error) -> ! {
+    eprintln!("cannot {what} {path}: {error}");
+    std::process::exit(2);
 }

@@ -1,16 +1,17 @@
 //! # rapids-bench
 //!
-//! Benchmark harness regenerating every table and figure of the paper's
-//! evaluation (§6), plus ablation studies.
+//! Benchmark harness regenerating the paper's Table 1 (§6), plus ablation
+//! studies.
 //!
 //! * The [`table1`] module runs the full flow — generate → map → place →
 //!   time → optimize with `gsg`, `GS` and `gsg+GS` — for any subset of the
-//!   19-benchmark suite and assembles [`rapids_core::BenchmarkRow`]s.
-//!   The `table1` binary prints the reproduced Table 1 (and a JSON report).
+//!   19-benchmark suite.  Each design yields a [`rapids_core::BenchmarkRow`]
+//!   for the printed table and a [`rapids_serve::DesignQor`] for the
+//!   `--qor-out` / `--check` snapshot.
 //! * The Criterion benches under `benches/` measure the individual claims:
 //!   linear-time supergate extraction, extraction coverage, redundancy
 //!   scanning, STA cost, and parameter ablations.
 
 pub mod table1;
 
-pub use table1::{run_benchmark, run_suite, FlowConfig, FlowResult};
+pub use table1::{run_benchmark, run_suite, FlowResult};

@@ -134,15 +134,56 @@ pub fn write_string(network: &Network) -> String {
 
 /// Parses the structural BLIF-like dialect produced by [`write_string`].
 ///
+/// `.gate` lines may come in any order.  Gates are added in the order of
+/// a line-order fixpoint (each pass adds, in line order, every gate whose
+/// fan-ins are all defined), computed in one walk, so a file whose gates
+/// are in topological order gets its ids in line order.
+///
 /// # Errors
 ///
 /// Returns [`NetlistError::ParseBlif`] with a line number for syntactic
 /// problems, and name/structural errors for semantic ones.
 pub fn parse_string(text: &str) -> Result<Network, NetlistError> {
+    let Directives { name, inputs, outputs, gates, links } = parse_lines(text)?;
+    let mut network = Network::new(name);
+    // Every name: an input, or the output of the `.gate` line at an index.
+    let mut signals: HashMap<&str, Signal> = HashMap::with_capacity(inputs.len() + gates.len());
+    for i in &inputs {
+        let id = network.add_input(i.clone());
+        if signals.insert(i, Signal::Input(id)).is_some() {
+            return Err(NetlistError::DuplicateName(i.clone()));
+        }
+    }
+    for (g, (_, out, _)) in gates.iter().enumerate() {
+        if signals.insert(out, Signal::Gate(g)).is_some() {
+            return Err(NetlistError::DuplicateName(out.clone()));
+        }
+    }
+    let ids = add_gates(&mut network, &gates, &signals)?;
+    add_outputs(&mut network, outputs, links, |name| match signals.get(name)? {
+        Signal::Input(id) => Some(*id),
+        Signal::Gate(g) => Some(ids[*g]),
+    })?;
+    Ok(network)
+}
+
+/// One `.gate` line: its type, output name and fan-in names.
+type PendingGate = (GateType, String, Vec<String>);
+
+/// The directives of a BLIF text, before any name is resolved.
+struct Directives {
+    name: String,
+    inputs: Vec<String>,
+    outputs: Vec<String>,
+    gates: Vec<PendingGate>,
+    links: Vec<(String, String)>,
+}
+
+fn parse_lines(text: &str) -> Result<Directives, NetlistError> {
     let mut name = String::from("unnamed");
     let mut inputs: Vec<String> = Vec::new();
     let mut outputs: Vec<String> = Vec::new();
-    let mut gates: Vec<(usize, GateType, String, Vec<String>)> = Vec::new();
+    let mut gates: Vec<PendingGate> = Vec::new();
     let mut links: Vec<(String, String)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -182,7 +223,7 @@ pub fn parse_string(text: &str) -> Result<Network, NetlistError> {
                     })?
                     .to_string();
                 let fanins: Vec<String> = tokens.map(|s| s.to_string()).collect();
-                gates.push((lineno, gtype, out, fanins));
+                gates.push((gtype, out, fanins));
             }
             ".link" => {
                 let port = tokens.next().ok_or(NetlistError::ParseBlif {
@@ -204,63 +245,152 @@ pub fn parse_string(text: &str) -> Result<Network, NetlistError> {
             }
         }
     }
+    Ok(Directives { name, inputs, outputs, gates, links })
+}
 
-    let mut network = Network::new(name);
-    let mut by_name: HashMap<String, GateId> = HashMap::new();
-    for i in &inputs {
-        if by_name.contains_key(i) {
-            return Err(NetlistError::DuplicateName(i.clone()));
-        }
-        let id = network.add_input(i.clone());
-        by_name.insert(i.clone(), id);
-    }
-
-    // Gates may reference signals defined later; resolve iteratively.
-    let mut remaining = gates;
-    while !remaining.is_empty() {
-        let before = remaining.len();
-        let mut next = Vec::new();
-        for (lineno, gtype, out, fanin_names) in remaining {
-            if by_name.contains_key(&out) {
-                return Err(NetlistError::DuplicateName(out));
-            }
-            let ready = fanin_names.iter().all(|n| by_name.contains_key(n));
-            if !ready {
-                next.push((lineno, gtype, out, fanin_names));
-                continue;
-            }
-            let id = match gtype {
-                GateType::Const0 => network.add_constant(false, out.clone()),
-                GateType::Const1 => network.add_constant(true, out.clone()),
-                t => {
-                    let fanins: Vec<GateId> = fanin_names.iter().map(|n| by_name[n]).collect();
-                    network.add_gate(t, &fanins, out.clone())?
-                }
-            };
-            by_name.insert(out, id);
-        }
-        if next.len() == before {
-            let missing = next
-                .iter()
-                .flat_map(|(_, _, _, f)| f.iter())
-                .find(|n| !by_name.contains_key(*n) && !next.iter().any(|(_, _, o, _)| o == *n))
-                .cloned()
-                .unwrap_or_else(|| next[0].3[0].clone());
-            return Err(NetlistError::UndefinedName(missing));
-        }
-        remaining = next;
-    }
-
+/// Adds the output ports, each driven by its `.link` driver or else by the
+/// signal of its own name.
+fn add_outputs(
+    network: &mut Network,
+    outputs: Vec<String>,
+    links: Vec<(String, String)>,
+    driver: impl Fn(&str) -> Option<GateId>,
+) -> Result<(), NetlistError> {
     let link_map: HashMap<String, String> = links.into_iter().collect();
     for o in outputs {
         let source = link_map.get(&o).unwrap_or(&o);
-        let id = by_name
-            .get(source)
-            .copied()
-            .ok_or_else(|| NetlistError::UndefinedName(source.clone()))?;
+        let id = driver(source).ok_or_else(|| NetlistError::UndefinedName(source.clone()))?;
         network.add_output(id, o);
     }
-    Ok(network)
+    Ok(())
+}
+
+/// Where a gate falls in the line-order fixpoint: each pass adds, in line
+/// order, every gate whose fan-ins are all defined.
+#[derive(Clone, Copy)]
+enum Pass {
+    Unvisited,
+    /// On the walk's stack: reaching it again closes a cycle.
+    Open,
+    Added(u32),
+    /// On a cycle, or reading an undefined name or such a gate.
+    Never,
+}
+
+/// What a name stands for.
+#[derive(Clone, Copy)]
+enum Signal {
+    /// A primary input.
+    Input(GateId),
+    /// The output of the `.gate` line at this index.
+    Gate(usize),
+}
+
+/// Adds the gates in the order the line-order fixpoint would, in
+/// O(gates log gates) rather than the fixpoint's O(gates × depth), and
+/// returns each line's gate id.
+///
+/// A gate's pass is 1 when it reads no gate.  Otherwise it is the largest,
+/// over the gates it reads, of that gate's pass, plus one when that gate's
+/// line comes later.  One iterative depth-first walk computes every pass,
+/// and the gates are added sorted by (pass, line).  Gates that never
+/// resolve are reported as the fixpoint reports them.
+fn add_gates(
+    network: &mut Network,
+    gates: &[PendingGate],
+    signals: &HashMap<&str, Signal>,
+) -> Result<Vec<GateId>, NetlistError> {
+    // Gate `g` reads `fanins[start[g]..start[g + 1]]`; `None` is a name
+    // nothing defines.
+    let mut start = Vec::with_capacity(gates.len() + 1);
+    let mut fanins: Vec<Option<Signal>> = Vec::new();
+    for (_, _, names) in gates {
+        start.push(fanins.len());
+        fanins.extend(names.iter().map(|name| signals.get(name.as_str()).copied()));
+    }
+    start.push(fanins.len());
+    let reads = |g: usize| &fanins[start[g]..start[g + 1]];
+
+    let mut pass = vec![Pass::Unvisited; gates.len()];
+    // Walk frames: gate, next fan-in to look at, pass so far.
+    let mut stack: Vec<(usize, usize, Pass)> = Vec::new();
+    for root in 0..gates.len() {
+        if !matches!(pass[root], Pass::Unvisited) {
+            continue;
+        }
+        pass[root] = Pass::Open;
+        stack.push((root, 0, Pass::Added(1)));
+        while let Some(&mut (g, ref mut next, ref mut acc)) = stack.last_mut() {
+            let Some(&fanin) = reads(g).get(*next) else {
+                pass[g] = *acc;
+                stack.pop();
+                continue;
+            };
+            let from = match fanin {
+                Some(Signal::Input(_)) => Pass::Added(1),
+                Some(Signal::Gate(f)) => match pass[f] {
+                    Pass::Unvisited => {
+                        pass[f] = Pass::Open;
+                        stack.push((f, 0, Pass::Added(1)));
+                        continue;
+                    }
+                    Pass::Added(p) => Pass::Added(p + u32::from(f > g)),
+                    Pass::Open | Pass::Never => Pass::Never,
+                },
+                None => Pass::Never,
+            };
+            *next += 1;
+            *acc = match (*acc, from) {
+                (Pass::Added(a), Pass::Added(b)) => Pass::Added(a.max(b)),
+                _ => Pass::Never,
+            };
+        }
+    }
+
+    let mut order: Vec<(u32, usize)> = pass
+        .iter()
+        .enumerate()
+        .filter_map(|(g, p)| match *p {
+            Pass::Added(p) => Some((p, g)),
+            _ => None,
+        })
+        .collect();
+    order.sort_unstable();
+    let mut ids = vec![GateId(u32::MAX); gates.len()];
+    for &(_, g) in &order {
+        let (gtype, out, _) = &gates[g];
+        ids[g] = match gtype {
+            GateType::Const0 => network.add_constant(false, out.clone()),
+            GateType::Const1 => network.add_constant(true, out.clone()),
+            &t => {
+                // Every gate read was added earlier: its (pass, line) is
+                // smaller.
+                let drivers: Vec<GateId> = reads(g)
+                    .iter()
+                    .map(|fanin| match fanin {
+                        Some(Signal::Input(id)) => *id,
+                        Some(Signal::Gate(f)) => ids[*f],
+                        None => unreachable!("an added gate reads only defined names"),
+                    })
+                    .collect();
+                network.add_gate(t, &drivers, out.clone())?
+            }
+        };
+    }
+
+    if let Some(first) = pass.iter().position(|p| matches!(p, Pass::Never)) {
+        // Name the first fan-in, in line order, that nothing defines; when
+        // only cycles are left, the first fan-in of the first gate that
+        // never resolves.
+        let missing = gates
+            .iter()
+            .enumerate()
+            .flat_map(|(g, (_, _, names))| names.iter().zip(reads(g)))
+            .find_map(|(name, fanin)| fanin.is_none().then_some(name))
+            .unwrap_or(&gates[first].2[0]);
+        return Err(NetlistError::UndefinedName(missing.clone()));
+    }
+    Ok(ids)
 }
 
 #[cfg(test)]
@@ -425,14 +555,7 @@ mod tests {
     #[test]
     fn tombstoned_networks_round_trip() {
         for seed in 0..24u64 {
-            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-            let mut next = move |bound: usize| {
-                // xorshift64*, reduced; plenty for case generation.
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as usize % bound.max(1)
-            };
+            let mut next = rng(seed);
             let mut n = Network::new(format!("tomb{seed}"));
             let mut live: Vec<GateId> = Vec::new();
             for i in 0..3 + next(4) {
@@ -479,6 +602,226 @@ mod tests {
             assert_eq!(signature(&n), signature(&back), "seed {seed}");
             assert_eq!(text, write_string(&back), "seed {seed} not a fixpoint");
         }
+    }
+
+    /// The line-order fixpoint `parse_string` used to resolve names with,
+    /// kept as the reference for [`add_gates`]: each pass re-scans every
+    /// unresolved gate and adds, in line order, those whose fan-ins are all
+    /// defined.
+    fn parse_string_fixpoint(text: &str) -> Result<Network, NetlistError> {
+        let Directives { name, inputs, outputs, gates, links } = parse_lines(text)?;
+        let mut network = Network::new(name);
+        let mut by_name: HashMap<String, GateId> = HashMap::new();
+        for i in &inputs {
+            if by_name.contains_key(i) {
+                return Err(NetlistError::DuplicateName(i.clone()));
+            }
+            let id = network.add_input(i.clone());
+            by_name.insert(i.clone(), id);
+        }
+        let mut remaining = gates;
+        while !remaining.is_empty() {
+            let before = remaining.len();
+            let mut next = Vec::new();
+            for (gtype, out, fanin_names) in remaining {
+                if by_name.contains_key(&out) {
+                    return Err(NetlistError::DuplicateName(out));
+                }
+                let ready = fanin_names.iter().all(|n| by_name.contains_key(n));
+                if !ready {
+                    next.push((gtype, out, fanin_names));
+                    continue;
+                }
+                let id = match gtype {
+                    GateType::Const0 => network.add_constant(false, out.clone()),
+                    GateType::Const1 => network.add_constant(true, out.clone()),
+                    t => {
+                        let fanins: Vec<GateId> = fanin_names.iter().map(|n| by_name[n]).collect();
+                        network.add_gate(t, &fanins, out.clone())?
+                    }
+                };
+                by_name.insert(out, id);
+            }
+            if next.len() == before {
+                let missing = next
+                    .iter()
+                    .flat_map(|(_, _, f)| f.iter())
+                    .find(|n| !by_name.contains_key(*n) && !next.iter().any(|(_, o, _)| o == *n))
+                    .cloned()
+                    .unwrap_or_else(|| next[0].2[0].clone());
+                return Err(NetlistError::UndefinedName(missing));
+            }
+            remaining = next;
+        }
+        add_outputs(&mut network, outputs, links, |name| by_name.get(name).copied())?;
+        Ok(network)
+    }
+
+    /// Everything a parse decides: every slot's name, type and fan-in ids,
+    /// the inputs, and the output ports.
+    type Structure = (Vec<(String, GateType, Vec<GateId>)>, Vec<GateId>, Vec<(String, GateId)>);
+
+    fn structure(n: &Network) -> Structure {
+        let gates = n
+            .iter_live()
+            .map(|id| {
+                let gate = n.gate(id);
+                (gate.name.clone(), gate.gtype, gate.fanins.clone())
+            })
+            .collect();
+        let outputs = n.outputs().iter().map(|o| (o.name.clone(), o.driver)).collect();
+        (gates, n.inputs().to_vec(), outputs)
+    }
+
+    /// `parse_string` against the fixpoint on the same text: the same
+    /// verdict always; the same network, or the same error unless the
+    /// text defines a name twice (`parse_string` rejects that up front, at
+    /// the first redefinition, where the fixpoint may first meet another
+    /// error).  Returns whether the text parsed.
+    fn assert_matches_fixpoint(text: &str) -> bool {
+        let fast = parse_string(text);
+        let reference = parse_string_fixpoint(text);
+        match (&fast, &reference) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(structure(a), structure(b), "{text}");
+                assert!(a.check_consistency().is_ok(), "{text}");
+            }
+            (Err(NetlistError::DuplicateName(_)), Err(_)) => {}
+            (Err(a), Err(b)) => assert_eq!(a, b, "{text}"),
+            _ => panic!("verdicts differ: {fast:?} vs {reference:?} on\n{text}"),
+        }
+        fast.is_ok()
+    }
+
+    /// xorshift64*, reduced; plenty for case generation.
+    fn rng(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+        move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as usize % bound.max(1)
+        }
+    }
+
+    /// A random multi-level network with constants, inverters, wide gates,
+    /// shared fan-outs and output ports that need `.link` lines.
+    fn random_network(seed: u64) -> Network {
+        let mut next = rng(seed);
+        let mut n = Network::new(format!("rand{seed}"));
+        let mut signals: Vec<GateId> =
+            (0..2 + next(5)).map(|i| n.add_input(format!("i{i}"))).collect();
+        if next(2) == 0 {
+            signals.push(n.add_constant(next(2) == 0, "k"));
+        }
+        for i in 0..20 + next(60) {
+            // Favour recent signals so the network grows deep.
+            let pick = |next: &mut dyn FnMut(usize) -> usize| {
+                let window = signals.len().min(8);
+                if next(3) == 0 {
+                    signals[next(signals.len())]
+                } else {
+                    signals[signals.len() - 1 - next(window)]
+                }
+            };
+            let id = if next(6) == 0 {
+                let a = pick(&mut next);
+                n.add_gate(GateType::Inv, &[a], format!("g{i}")).unwrap()
+            } else {
+                let types = [GateType::And, GateType::Nand, GateType::Or, GateType::Xor];
+                let fanins: Vec<GateId> = (0..2 + next(3)).map(|_| pick(&mut next)).collect();
+                n.add_gate(types[next(types.len())], &fanins, format!("g{i}")).unwrap()
+            };
+            signals.push(id);
+        }
+        for k in 0..1 + next(4) {
+            let driver = signals[signals.len() - 1 - next(signals.len().min(10))];
+            let name = if next(2) == 0 { n.gate(driver).name.clone() } else { format!("o{k}") };
+            n.add_output(driver, name);
+        }
+        n
+    }
+
+    /// The text with its `.gate` lines permuted by `order`.
+    fn with_gate_order(text: &str, order: impl FnOnce(&mut Vec<&str>)) -> String {
+        let lines: Vec<&str> = text.lines().collect();
+        let first = lines.iter().position(|l| l.starts_with(".gate")).unwrap_or(lines.len());
+        let end = lines.iter().rposition(|l| l.starts_with(".gate")).map_or(first, |i| i + 1);
+        let mut gates = lines[first..end].to_vec();
+        order(&mut gates);
+        let mut out: Vec<&str> = lines[..first].to_vec();
+        out.extend(gates);
+        out.extend(&lines[end..]);
+        out.join("\n") + "\n"
+    }
+
+    #[test]
+    fn one_walk_adds_gates_in_fixpoint_order() {
+        for seed in 0..40u64 {
+            let text = write_string(&random_network(seed));
+            // In file order the gates keep their written order.
+            let in_order = parse_string(&text).unwrap();
+            assert_eq!(write_string(&in_order), text, "seed {seed}");
+            assert_matches_fixpoint(&text);
+            assert_matches_fixpoint(&with_gate_order(&text, |g| g.reverse()));
+            let mut next = rng(seed ^ 0x5eed);
+            for _ in 0..4 {
+                assert_matches_fixpoint(&with_gate_order(&text, |g| {
+                    for i in (1..g.len()).rev() {
+                        g.swap(i, next(i + 1));
+                    }
+                }));
+            }
+        }
+    }
+
+    #[test]
+    fn one_walk_agrees_with_the_fixpoint_on_malformed_lines() {
+        let mut parsed = 0;
+        for seed in 0..300u64 {
+            let mut next = rng(seed);
+            let text = write_string(&random_network(seed % 30));
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            for _ in 0..1 + next(3) {
+                let at = next(lines.len());
+                match next(5) {
+                    0 => {
+                        lines.remove(at);
+                    }
+                    1 => {
+                        let line = lines[at].clone();
+                        lines.insert(next(lines.len() + 1), line);
+                    }
+                    2 => {
+                        let other = next(lines.len());
+                        lines.swap(at, other);
+                    }
+                    3 => {
+                        // Re-point one fan-in of a gate at another gate's
+                        // output (possibly a later one, closing a cycle).
+                        let names: Vec<String> = lines
+                            .iter()
+                            .filter_map(|l| l.strip_prefix(".gate "))
+                            .filter_map(|l| l.split_whitespace().nth(1).map(str::to_string))
+                            .collect();
+                        let mut tokens: Vec<String> =
+                            lines[at].split_whitespace().map(str::to_string).collect();
+                        if tokens[0] == ".gate" && tokens.len() > 3 && !names.is_empty() {
+                            let slot = 3 + next(tokens.len() - 3);
+                            tokens[slot] = names[next(names.len())].clone();
+                            lines[at] = tokens.join(" ");
+                        }
+                    }
+                    _ => lines.truncate(at),
+                }
+                if lines.is_empty() {
+                    break;
+                }
+            }
+            parsed += usize::from(assert_matches_fixpoint(&(lines.join("\n") + "\n")));
+        }
+        // Both verdicts are well exercised (75 of 300 cases parse).
+        assert!((30..=270).contains(&parsed), "{parsed} of 300 parsed");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! rapids-serve --blif-dir designs/ --out reports.jsonl # every .blif under designs/
 //! rapids-serve --suite --legalize --es                 # row-legal placements + ES nudging
 //! rapids-serve --listen 127.0.0.1:7171                 # TCP line protocol (concurrent)
-//! rapids-serve --listen 127.0.0.1:7171 --cache-max-entries 64  # bounded LRU result cache
+//! rapids-serve --listen 127.0.0.1:7171 --cache-max-entries 64  # bounded LRU caches
 //! rapids-serve --suite --store cache/ --timeout-s 300          # crash-safe disk cache + deadlines
 //! rapids-serve --listen 127.0.0.1:7171 --max-pending 8         # admission-controlled listener
 //! ```

@@ -7,11 +7,13 @@
 //! parse error, optimizer panic) is captured as a `Failed` report so one
 //! poisoned job cannot take down a batch or a connection.
 //!
-//! The result cache can be **bounded** ([`Engine::with_cache_capacity`],
-//! `rapids-serve --cache-max-entries`): when full, the least-recently-used
-//! entry is evicted on insert, so a long-running listener's memory stays
-//! flat under an unbounded stream of distinct designs.  Evictions are
-//! counted ([`Engine::cache_evictions`], the `stats` protocol line).
+//! The result cache and the verify-verdict cache can be **bounded**
+//! ([`Engine::with_cache_capacity`], `rapids-serve --cache-max-entries`):
+//! each holds at most that many entries, and when full the
+//! least-recently-used entry is evicted on insert, so a long-running
+//! listener's memory stays flat under an unbounded stream of distinct
+//! designs and netlist pairs.  Evictions from both are counted together
+//! ([`Engine::cache_evictions`], the `stats` protocol line).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,37 +31,39 @@ use crate::retry::{is_transient_io, with_backoff, BackoffPolicy};
 use crate::store::ResultStore;
 use crate::timer::Timer;
 
-/// The bounded LRU result cache (unbounded when `capacity` is `None`).
+/// A bounded LRU cache keyed by a fingerprint pair (unbounded when
+/// `capacity` is `None`): the engine keeps QoR results in one and verify
+/// verdicts in another.
 ///
 /// Recency is a monotone tick bumped on every hit and insert; eviction
 /// scans for the minimum tick, which is O(n) but runs only when a full
-/// cache inserts — negligible next to the optimizer run that produced the
-/// entry.
+/// cache inserts — negligible next to the optimizer run or proof that
+/// produced the entry.
 #[derive(Debug)]
-struct LruCache {
+struct LruCache<V> {
     capacity: Option<usize>,
-    entries: HashMap<(u64, u64), (DesignQor, u64)>,
+    entries: HashMap<(u64, u64), (V, u64)>,
     tick: u64,
     evictions: usize,
 }
 
-impl LruCache {
+impl<V: Clone> LruCache<V> {
     fn new(capacity: Option<usize>) -> Self {
         LruCache { capacity, entries: HashMap::new(), tick: 0, evictions: 0 }
     }
 
-    fn get(&mut self, key: &(u64, u64)) -> Option<DesignQor> {
+    fn get(&mut self, key: &(u64, u64)) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
-        self.entries.get_mut(key).map(|(qor, used)| {
+        self.entries.get_mut(key).map(|(value, used)| {
             *used = tick;
-            qor.clone()
+            value.clone()
         })
     }
 
-    fn insert(&mut self, key: (u64, u64), qor: DesignQor) {
+    fn insert(&mut self, key: (u64, u64), value: V) {
         self.tick += 1;
-        let fresh = self.entries.insert(key, (qor, self.tick)).is_none();
+        let fresh = self.entries.insert(key, (value, self.tick)).is_none();
         if let Some(capacity) = self.capacity {
             if fresh && self.entries.len() > capacity {
                 // Evict the least-recently-used entry (never the one just
@@ -82,7 +86,7 @@ impl LruCache {
 #[derive(Debug)]
 pub struct Engine {
     base: PipelineConfig,
-    cache: Mutex<LruCache>,
+    cache: Mutex<LruCache<DesignQor>>,
     /// Second-level memo: (spec fingerprint, config fingerprint) → netlist
     /// fingerprint, so a *literally repeated* submission skips generation
     /// and technology mapping too, not just the optimizer.  Only specs
@@ -100,7 +104,8 @@ pub struct Engine {
     /// Verdicts of `verify` jobs, keyed by the *(fingerprint A,
     /// fingerprint B)* netlist pair — resubmitting the same pair answers
     /// from here, byte-identically, without re-running the SAT check.
-    verify_cache: Mutex<HashMap<(u64, u64), VerifyVerdict>>,
+    /// Bounded like the result cache, with the same capacity.
+    verify_cache: Mutex<LruCache<VerifyVerdict>>,
     /// Per-engine metrics registry: run/hit counters and the per-job
     /// latency histogram live here (not in the process-global registry),
     /// so each engine's tallies stay exact under concurrent engines — the
@@ -131,10 +136,11 @@ impl Engine {
         Self::with_capacity(base, None)
     }
 
-    /// [`Engine::new`] with the result cache bounded to `capacity` entries
-    /// (LRU eviction on insert).  `0` means *unbounded*, same as
-    /// [`Engine::new`] — a zero-entry cache would silently recompute every
-    /// submission, which no caller ever wants.
+    /// [`Engine::new`] with the result cache and the verify-verdict cache
+    /// each bounded to `capacity` entries (LRU eviction on insert).  `0`
+    /// means *unbounded*, same as [`Engine::new`] — a zero-entry cache
+    /// would silently recompute every submission, which no caller ever
+    /// wants.
     pub fn with_cache_capacity(base: PipelineConfig, capacity: usize) -> Self {
         Self::with_capacity(base, (capacity > 0).then_some(capacity))
     }
@@ -148,7 +154,7 @@ impl Engine {
             store: None,
             faults: Arc::new(FaultPlan::default()),
             backoff: BackoffPolicy::default(),
-            verify_cache: Mutex::new(HashMap::new()),
+            verify_cache: Mutex::new(LruCache::new(capacity)),
             optimizer_runs: metrics.counter("serve.optimizer_runs"),
             verify_runs: metrics.counter("serve.verify_runs"),
             cache_hits: metrics.counter("serve.cache_hits"),
@@ -230,7 +236,7 @@ impl Engine {
 
     /// Number of distinct netlist pairs with a cached verify verdict.
     pub fn cached_verifications(&self) -> usize {
-        self.verify_cache.lock().expect("verify cache lock poisoned").len()
+        self.verify_cache.lock().expect("verify cache lock poisoned").entries.len()
     }
 
     /// How many jobs were served from the cache without recompute.
@@ -243,10 +249,11 @@ impl Engine {
         self.cache.lock().expect("cache lock poisoned").entries.len()
     }
 
-    /// How many cached results were evicted by the LRU bound (always 0 for
-    /// an unbounded cache).
+    /// How many cached results and verify verdicts were evicted by the LRU
+    /// bound (always 0 for an unbounded engine).
     pub fn cache_evictions(&self) -> usize {
         self.cache.lock().expect("cache lock poisoned").evictions
+            + self.verify_cache.lock().expect("verify cache lock poisoned").evictions
     }
 
     /// How many times a circuit was actually resolved (generated/parsed
@@ -502,8 +509,7 @@ impl Engine {
         };
 
         let key = (netlist_fingerprint(&a), netlist_fingerprint(&b));
-        let cached =
-            self.verify_cache.lock().expect("verify cache lock poisoned").get(&key).cloned();
+        let cached = self.verify_cache.lock().expect("verify cache lock poisoned").get(&key);
         if let Some(verdict) = cached {
             self.cache_hits.inc();
             return JobReport {
@@ -846,6 +852,22 @@ mod tests {
         assert_eq!(e.verify_runs(), 1);
         assert_eq!(e.cached_verifications(), 1);
         assert_eq!(e.cache_hits(), 1);
+    }
+
+    #[test]
+    fn bounded_engine_evicts_verify_verdicts_too() {
+        let e = Engine::with_cache_capacity(PipelineConfig::fast(), 1);
+        let proven = verify_job("proven", "tiny_mux_demorgan.blif", e.base_config());
+        let refuted = verify_job("refuted", "tiny_mux_mutated.blif", e.base_config());
+        assert!(e.execute(&proven).is_done());
+        assert!(e.execute(&refuted).is_done());
+        // Capacity 1: the second pair's verdict evicted the first's.
+        assert_eq!(e.cached_verifications(), 1);
+        assert_eq!(e.cache_evictions(), 1);
+        assert!(e.execute(&refuted).cached, "the latest verdict is kept");
+        assert!(!e.execute(&proven).cached, "the evicted verdict is proven again");
+        assert_eq!(e.verify_runs(), 3);
+        assert_eq!(e.cache_evictions(), 2);
     }
 
     #[test]

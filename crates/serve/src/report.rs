@@ -1,20 +1,19 @@
 //! Streaming report records.
 //!
-//! One JSONL line per finished job.  Successful lines carry exactly the
-//! deterministic QoR projection of `docs/benchmarking.md` (the
-//! `--qor-out` field contract), prefixed with the job envelope; failed
-//! lines carry the captured error.  Wall-clock numbers and cache/worker
-//! provenance are deliberately *excluded* from the line so that any two
-//! runs of the same job — fresh or cached, any worker count — produce
-//! byte-identical output (the envelope of [`JobReport`] still records
-//! provenance for programmatic consumers).
+//! One JSONL line per finished job.  Successful lines carry the
+//! [`DesignQor`] record of `docs/benchmarking.md`, prefixed with the job
+//! envelope; failed lines carry the captured error.  Wall-clock numbers
+//! and cache/worker provenance are deliberately *excluded* from the line
+//! so that any two runs of the same job — fresh or cached, any worker
+//! count — produce byte-identical output (the envelope of [`JobReport`]
+//! still records provenance for programmatic consumers).
 
 use rapids_flow::FlowComparison;
 
 use rapids_obs::json::{escape_string, number, parse_flat_object, Value};
 
-/// The deterministic per-design QoR record — the serve-side twin of the
-/// `table1 --qor-out` row, field for field.
+/// The deterministic per-design QoR record: the fields of every serve
+/// `done` line, and every row of `table1 --qor-out` / `--check`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignQor {
     /// Design name (the netlist's model name).

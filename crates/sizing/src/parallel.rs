@@ -34,9 +34,9 @@
 //!   the shared occupancy.  Nudged positions therefore agree for every
 //!   thread count by construction.
 //! * **Thread-per-design sharding** (`table1 --threads`,
-//!   `run_suite_threaded`) returns results in input order regardless of
-//!   completion order, so whole-suite reports are bit-identical for every
-//!   thread count.
+//!   `rapids_bench::table1::run_suite`) returns results in input order
+//!   regardless of completion order, so whole-suite reports are
+//!   bit-identical for every thread count.
 
 use rapids_netlist::{GateId, Network};
 use rapids_placement::Placement;

@@ -174,10 +174,10 @@ fn pipeline_reports_are_thread_count_invariant() {
 
 #[test]
 fn threaded_suite_harness_is_deterministic() {
-    use rapids_bench::table1::{results_to_qor_json, run_suite_threaded, FlowConfig};
-    let config = FlowConfig::fast();
+    use rapids_bench::table1::{results_to_qor_json, run_suite};
+    let config = PipelineConfig::fast();
     let names = ["c432", "c499", "alu2"];
-    let one = results_to_qor_json(&run_suite_threaded(&names, &config, 1));
-    let eight = results_to_qor_json(&run_suite_threaded(&names, &config, 8));
+    let one = results_to_qor_json(&run_suite(&names, &config, 1));
+    let eight = results_to_qor_json(&run_suite(&names, &config, 8));
     assert_eq!(one, eight, "--threads 1 and --threads 8 must produce identical reports");
 }

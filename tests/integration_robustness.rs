@@ -2,13 +2,16 @@
 //! result store (cache-warm restarts, byte-identity, torn-tail recovery),
 //! per-job deadlines under injected hangs, deterministic fault injection
 //! (panics and transient I/O faults), the interplay of all three with the
-//! batch server, and a seeded fuzz loop over the JSON-fed input surfaces.
+//! batch server, and seeded fuzz loops over the JSON-fed input surfaces and
+//! the BLIF reader.
 
 use std::panic::AssertUnwindSafe;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use rapids_flow::circuits::benchmark;
+use rapids_flow::netlist::blif;
 use rapids_flow::PipelineConfig;
 use rapids_obs::json::{escape_string, number, parse, parse_flat_object, Value};
 use rapids_obs::trace::{chrome_trace_json, TraceEvent};
@@ -339,4 +342,108 @@ fn json_surfaces_survive_seeded_malformed_input() {
             assert!(outcome.is_ok(), "seed {s} case {case} failed on {text:?}");
         }
     }
+}
+
+/// Mutated texts per BLIF seed: the three `ci/fixtures` and two suite
+/// renderings.
+const BLIF_FUZZ_CASES: usize = 400;
+
+/// One random edit of a BLIF text: a line deleted, duplicated, swapped
+/// with another, or cut off with every line after it; or, within one line,
+/// a token deleted, duplicated, swapped, re-pointed at another name of the
+/// text, or cut off with the rest of the line.
+fn mutate_blif(text: &str, rng: &mut StdRng) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    if lines.is_empty() {
+        return ".gate".to_string();
+    }
+    let at = rng.gen_range(0..lines.len());
+    match rng.gen_range(0..9u32) {
+        0 => {
+            lines.remove(at);
+        }
+        1 => {
+            let line = lines[at].clone();
+            lines.insert(rng.gen_range(0..=lines.len()), line);
+        }
+        2 => {
+            let other = rng.gen_range(0..lines.len());
+            lines.swap(at, other);
+        }
+        3 => lines.truncate(at),
+        edit => {
+            let mut tokens: Vec<&str> = lines[at].split_whitespace().collect();
+            if !tokens.is_empty() {
+                let i = rng.gen_range(0..tokens.len());
+                match edit {
+                    4 => {
+                        tokens.remove(i);
+                    }
+                    5 => {
+                        let token = tokens[i];
+                        tokens.insert(i, token);
+                    }
+                    6 => {
+                        let other = rng.gen_range(0..tokens.len());
+                        tokens.swap(i, other);
+                    }
+                    7 => {
+                        let names: Vec<&str> =
+                            text.split_whitespace().filter(|t| !t.starts_with('.')).collect();
+                        if !names.is_empty() {
+                            tokens[i] = names[rng.gen_range(0..names.len())];
+                        }
+                    }
+                    _ => tokens.truncate(i),
+                }
+                lines[at] = tokens.join(" ");
+            }
+        }
+    }
+    lines.join("\n") + "\n"
+}
+
+/// Seeded malformed input on the BLIF reader, the surface `blif_text` jobs
+/// arrive on: `parse_string` never panics, every network it accepts is
+/// consistent, and a `blif_text` job over the same text reports `done`
+/// exactly when the text parses (and a failure otherwise, never a panic).
+#[test]
+fn blif_survives_seeded_malformed_input() {
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/fixtures");
+    let mut seeds: Vec<String> = ["tiny_mux", "tiny_mux_demorgan", "tiny_mux_mutated"]
+        .iter()
+        .map(|name| std::fs::read_to_string(format!("{fixtures}/{name}.blif")).unwrap())
+        .collect();
+    for name in ["c432", "alu2"] {
+        seeds.push(blif::write_string(&benchmark(name).unwrap()));
+    }
+    let config = PipelineConfig::fast();
+    let engine = Engine::new(config.clone());
+    let mut rng = StdRng::seed_from_u64(0xb11f);
+    let (mut parsed, mut rejected) = (0, 0);
+    for (s, seed) in seeds.iter().enumerate() {
+        assert!(blif::parse_string(seed).is_ok(), "seed {s} parses");
+        for case in 0..BLIF_FUZZ_CASES {
+            let mut text = seed.clone();
+            for _ in 0..rng.gen_range(1..4usize) {
+                text = mutate_blif(&text, &mut rng);
+            }
+            let network = std::panic::catch_unwind(|| blif::parse_string(&text))
+                .unwrap_or_else(|_| panic!("seed {s} case {case}: parse panicked on {text:?}"));
+            if let Ok(network) = &network {
+                assert_eq!(network.check_consistency(), Ok(()), "seed {s} case {case}: {text:?}");
+            }
+            let report =
+                engine.execute(&Job::blif_text(format!("s{s}c{case}"), text.clone(), &config));
+            match (&network, &report.outcome) {
+                (Ok(_), JobOutcome::Done(_)) => parsed += 1,
+                (Err(_), JobOutcome::Failed(error)) if !error.contains("panicked") => rejected += 1,
+                (_, outcome) => {
+                    panic!("seed {s} case {case}: {network:?} but {outcome:?} on {text:?}")
+                }
+            }
+        }
+    }
+    // Both verdicts are well exercised.
+    assert!(parsed >= 200 && rejected >= 200, "{parsed} parsed, {rejected} rejected");
 }
