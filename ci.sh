@@ -154,7 +154,7 @@ echo "==> full-suite proof (SAT proof of all 19 Table 1 designs after gsg+GS --e
 # timeout guards against a proof falling back to a long solve.
 timeout 300 cargo test --release --offline -p rapids-flow --test integration_cec -q -- --ignored
 
-echo "==> result-store smoke (crash-safe disk cache: second run is compute-free)"
+echo "==> result-store smoke (crash-safe disk cache: second run is compute-free, torn tail recovers)"
 # Two identical runs against a fresh --store directory: the second must be
 # answered entirely from disk (zero optimizer runs, every job a disk hit)
 # with byte-identical output.  The stderr stats line is part of the
@@ -167,6 +167,14 @@ timeout 120 ./target/release/rapids-serve --fast --sort alu2 c432 \
 diff target/ci_store_first.jsonl target/ci_store_second.jsonl
 grep -q 'store: optimizer_runs=0 disk_hits=2 recovered_records=2 dropped_corrupt_records=0' \
     target/ci_store_second.stderr
+# A crash mid-append: cut the last record short.  The third run must drop
+# exactly that record, recompute its design, and print the first run's bytes.
+truncate -s -10 target/ci_store/store.jsonl
+timeout 120 ./target/release/rapids-serve --fast --sort alu2 c432 \
+    --store target/ci_store > target/ci_store_third.jsonl 2> target/ci_store_third.stderr
+diff target/ci_store_first.jsonl target/ci_store_third.jsonl
+grep -q 'store: optimizer_runs=1 disk_hits=1 recovered_records=1 dropped_corrupt_records=1' \
+    target/ci_store_third.stderr
 
 echo "==> observability smoke (trace validity + metrics pin, byte-identical output)"
 # The serve smoke rerun with the tracer and metrics dump armed: stdout must

@@ -1,15 +1,12 @@
-//! Ablation studies called out in `DESIGN.md`: sensitivity of the `gsg+GS`
-//! result to interconnect resistivity and to the optimizer's simulation
-//! self-check.  Prints the observed improvements alongside the timing
+//! Ablation study: sensitivity of the `gsg` result to interconnect
+//! resistivity.  Prints the observed improvements alongside the timing
 //! measurements.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use rapids_bench::table1::run_benchmark;
 use rapids_celllib::Library;
 use rapids_circuits::benchmark;
 use rapids_core::{Optimizer, OptimizerConfig, OptimizerKind};
-use rapids_flow::PipelineConfig;
 use rapids_placement::{place, PlacerConfig};
 use rapids_timing::TimingConfig;
 
@@ -51,25 +48,5 @@ fn bench_resistivity_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Measure the overhead of the optional per-run simulation self-check.
-fn bench_verification_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_verification");
-    group.sample_size(10);
-    for verify in [false, true] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(if verify { "verify_on" } else { "verify_off" }),
-            &verify,
-            |b, &verify| {
-                b.iter(|| {
-                    let mut config = PipelineConfig::fast();
-                    config.optimizer.verify_with_simulation = verify;
-                    run_benchmark(std::hint::black_box("c432"), &config)
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_resistivity_sweep, bench_verification_overhead);
+criterion_group!(benches, bench_resistivity_sweep);
 criterion_main!(benches);

@@ -128,11 +128,13 @@ impl Library {
     /// Total standard-cell area of a network's live logic gates under their
     /// current drive-strength assignment, in µm².  Gates without a library
     /// cell (e.g. very wide hand-built gates) contribute a nominal 25 µm².
+    /// A network without logic gates has area `+0.0` (a float `sum()`
+    /// would start at, and return, `-0.0`).
     pub fn network_area_um2(&self, network: &rapids_netlist::Network) -> f64 {
         network
             .iter_logic()
             .map(|g| self.cell_for_gate(network.gate(g)).map(|c| c.area_um2).unwrap_or(25.0))
-            .sum()
+            .fold(0.0, |total, area| total + area)
     }
 
     /// Builds the synthetic 0.35 µm library described in `DESIGN.md`.

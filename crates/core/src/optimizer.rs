@@ -54,7 +54,6 @@ use rapids_celllib::Library;
 use rapids_legalize::RowModel;
 use rapids_netlist::{GateId, Network};
 use rapids_placement::{gate_width_sites, Placement, Point};
-use rapids_sim::check_equivalence_random;
 use rapids_sizing::{neighborhood_eval, CancelToken, GateSizer, SizerConfig};
 use rapids_timing::{IncrementalSta, IncrementalStats, NetCache, TimingConfig, TimingReport};
 
@@ -103,10 +102,6 @@ pub struct OptimizerConfig {
     /// applied count is reported as
     /// [`OptimizationOutcome::inverting_swaps_applied`].
     pub include_inverting_swaps: bool,
-    /// After every accepted batch of swaps, cross-check functional
-    /// equivalence against the pre-optimization network with random
-    /// simulation (a safety net; the structural theory guarantees it).
-    pub verify_with_simulation: bool,
     /// Worker threads for candidate scoring (1 = fully sequential); also
     /// forwarded to the embedded gate sizer.  The guarantees (identical
     /// decisions for every count, bit-exact sizing, a final-ulp rewiring
@@ -124,7 +119,6 @@ impl Default for OptimizerConfig {
             max_passes: 4,
             critical_margin_ns: 0.2,
             include_inverting_swaps: false,
-            verify_with_simulation: false,
             threads: 1,
             sizer: SizerConfig::default(),
         }
@@ -278,8 +272,6 @@ impl Optimizer {
     ) -> OptimizationOutcome {
         let start = Instant::now();
         let mut rows = rows.cloned();
-        let reference =
-            if self.config.verify_with_simulation { Some(network.clone()) } else { None };
         // Growable working copy: inverting swaps extend it with overlay
         // slots for the inverters they insert (`Placement::host_at`).
         let caller_slots = placement.len();
@@ -359,11 +351,6 @@ impl Optimizer {
                     &mut cache,
                 );
             }
-        }
-
-        if let Some(reference) = &reference {
-            let check = check_equivalence_random(reference, network, 1024, 0xC0FFEE);
-            assert!(check.is_equivalent(), "optimization broke functional equivalence: {check:?}");
         }
 
         // Surviving inserted inverters occupy the overlay slots past the
@@ -1184,18 +1171,6 @@ mod tests {
         assert!(outcome.delay_improvement_percent() >= 0.0);
         assert!(check_equivalence_random(&reference, &network, 512, 9).is_equivalent());
         assert!(outcome.cpu_seconds > 0.0);
-    }
-
-    #[test]
-    fn verification_mode_accepts_correct_optimization() {
-        let (_, library, placement, timing) = setup("c432");
-        let mut network = benchmark("c432").unwrap();
-        let config = OptimizerConfig {
-            verify_with_simulation: true,
-            ..OptimizerConfig::fast(OptimizerKind::Rewiring)
-        };
-        let outcome = Optimizer::new(config).optimize(&mut network, &library, &placement, &timing);
-        assert!(outcome.final_delay_ns <= outcome.initial_delay_ns + 1e-9);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! .end
 //! ```
 //!
-//! Each `.gate` line is `TYPE OUTPUT INPUT...`; the writer emits one line per
-//! live logic gate in topological order so files round-trip.
+//! Each `.gate` line is `TYPE OUTPUT INPUT...`, for any type but `input`
+//! (primary inputs are declared only by `.inputs`); the writer emits one
+//! line per live logic gate in topological order so files round-trip.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -215,6 +216,13 @@ fn parse_lines(text: &str) -> Result<Directives, NetlistError> {
                     line: lineno,
                     message: format!("unknown gate type `{type_token}`"),
                 })?;
+                if gtype == GateType::Input {
+                    return Err(NetlistError::ParseBlif {
+                        line: lineno,
+                        message: "a primary input is declared by `.inputs`, not `.gate input`"
+                            .into(),
+                    });
+                }
                 let out = tokens
                     .next()
                     .ok_or(NetlistError::ParseBlif {
@@ -474,6 +482,15 @@ mod tests {
         let text = ".model x\n.inputs a\n.outputs f\n.gate frob f a\n.end\n";
         let err = parse_string(text).unwrap_err();
         assert!(matches!(err, NetlistError::ParseBlif { line: 4, .. }));
+    }
+
+    #[test]
+    fn parse_rejects_an_input_gate() {
+        // `write_string` skips `Input`-typed gates, so such a gate would be
+        // a name the written text uses without defining.
+        let text = ".model x\n.inputs a b\n.outputs f\n.gate input x\n.gate and f a x\n.end\n";
+        let err = parse_string(text).unwrap_err();
+        assert!(matches!(err, NetlistError::ParseBlif { line: 4, .. }), "{err:?}");
     }
 
     #[test]

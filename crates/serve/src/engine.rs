@@ -645,6 +645,16 @@ mod tests {
     }
 
     #[test]
+    fn a_gate_free_design_reports_zero_area() {
+        let e = engine();
+        let text = ".model wire\n.inputs a b\n.outputs a\n.end\n";
+        let report = e.execute(&Job::blif_text("wire", text, e.base_config()));
+        assert!(report.is_done(), "{:?}", report.outcome);
+        let line = report.to_jsonl();
+        assert!(line.contains("\"gs_final_area_um2\":0,\"combined_final_area_um2\":0,"), "{line}");
+    }
+
+    #[test]
     fn missing_blif_file_reports_the_path() {
         let e = engine();
         let job = Job::blif_file("ghost", "/no/such/file.blif", e.base_config());

@@ -15,7 +15,9 @@
 //!   [`Engine`] runs one job end to end (errors and panics are captured as
 //!   `Failed` reports, never propagated) and memoizes results keyed by
 //!   *(netlist content fingerprint, config fingerprint)*, so resubmitted
-//!   designs are served without recompute;
+//!   designs are served without recompute; [`store`] spills those results
+//!   to disk through [`journal`], the crate's one crash-safe checksummed
+//!   log (the tick journal's too);
 //! * **scheduling** ([`server`]) — the [`BatchServer`] fans a batch out
 //!   over `workers` threads with per-job status tracking and graceful
 //!   cancellation, streaming completion-order results to the caller;
@@ -24,9 +26,8 @@
 //!   for true long-running use;
 //! * **telemetry** ([`telemetry`], [`heartbeat`]) — a manual-tick
 //!   time-series plane over the engine's metrics (CUSUM change detection,
-//!   SLO burn tracking, a crash-safe JSONL journal, Prometheus-style
-//!   exposition) plus the batch liveness heartbeat.  See
-//!   `docs/observability.md`.
+//!   SLO burn tracking, a tick journal, Prometheus-style exposition) plus
+//!   the batch liveness heartbeat.  See `docs/observability.md`.
 //!
 //! Determinism: a job's report depends only on its netlist and config —
 //! never on the worker count or completion order — so batch output is
@@ -53,6 +54,7 @@ pub mod fingerprint;
 pub mod heartbeat;
 pub mod ingest;
 pub mod job;
+pub mod journal;
 #[doc(hidden)]
 pub mod json;
 pub mod net;
@@ -68,8 +70,9 @@ pub use faults::{FaultAction, FaultPlan, FaultPoint};
 pub use heartbeat::Heartbeat;
 pub use ingest::{discover_blif_files, jobs_from_blif_dir, jobs_from_jsonl, suite_jobs};
 pub use job::{Job, JobSource, JobStatus};
+pub use journal::Journal;
 pub use report::{DesignQor, JobOutcome, JobReport, VerifyVerdict};
 pub use retry::{with_backoff, BackoffPolicy};
 pub use server::{BatchServer, BatchSummary};
 pub use store::ResultStore;
-pub use telemetry::{Journal, TelemetryConfig, TelemetryPlane, WallClockSampler};
+pub use telemetry::{TelemetryConfig, TelemetryPlane, WallClockSampler};

@@ -140,7 +140,7 @@ impl DesignQor {
         })
     }
 
-    fn json_fields(&self) -> String {
+    pub(crate) fn json_fields(&self) -> String {
         format!(
             concat!(
                 "\"name\":{},\"gate_count\":{},\"initial_delay_ns\":{},",

@@ -8,52 +8,45 @@
 //!
 //! ## Record format
 //!
-//! `DIR/store.log` is a sequence of length-prefixed, checksummed records,
-//! all integers little-endian:
+//! `DIR/store.jsonl` is a [`Journal`]: one checksummed JSON line per
+//! record, the key's two fingerprints as 16-digit hex strings followed by
+//! the [`DesignQor::to_json`] fields:
 //!
 //! ```text
-//! u32 payload_len | u64 netlist_fp | u64 config_fp | payload | u64 checksum
+//! {"netlist_fp":"<16 hex>","config_fp":"<16 hex>","name":…,"max_displacement_um":…,"ck":"<16 hex>"}
 //! ```
 //!
-//! where `payload` is the QoR record as flat JSON and `checksum` is FNV-1a
-//! over every preceding byte of the record (length prefix and key
-//! included).
+//! A `store.log` left by a build that used the older binary format is
+//! never opened: that store simply starts cold.
 //!
 //! ## Recovery rules
 //!
-//! A crash mid-append leaves a torn record *at the tail* — never in the
-//! middle, because records are written with a single `write_all` and the
-//! log is append-only.  Startup replays the log and stops at the first
-//! record that is incomplete (EOF inside the record), checksum-mismatched,
-//! or semantically unparsable; the file is truncated back to the last
-//! valid boundary so the next append starts clean.  Every record before
-//! the tear survives ([`ResultStore::recovered_records`]); the torn tail
-//! is counted in [`ResultStore::dropped_corrupt_records`].
+//! Replay is the journal's: it keeps every whole valid record and
+//! truncates the log at the first line that is torn, fails its checksum,
+//! or does not decode to a key and a QoR record.  The kept records are
+//! [`ResultStore::recovered_records`]; a dropped tail is counted in
+//! [`ResultStore::dropped_corrupt_records`].
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::fingerprint::fnv1a;
+use rapids_obs::json::parse_flat_object;
+
+use crate::journal::Journal;
 use crate::report::DesignQor;
 
 /// The log's file name inside the store directory.
-pub const STORE_FILE: &str = "store.log";
+pub const STORE_FILE: &str = "store.jsonl";
 
 /// A content-addressed, crash-safe result store over an append-only log.
 #[derive(Debug)]
 pub struct ResultStore {
     path: PathBuf,
-    /// Append handle, serialized so concurrent workers' records never
-    /// interleave.
-    file: Mutex<File>,
+    journal: Journal,
     /// Every valid record replayed at open plus everything appended since.
     entries: Mutex<HashMap<(u64, u64), DesignQor>>,
-    recovered: usize,
-    dropped: usize,
     disk_hits: AtomicUsize,
 }
 
@@ -69,22 +62,16 @@ impl ResultStore {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let path = dir.join(STORE_FILE);
-        let file = OpenOptions::new().create(true).read(true).append(true).open(&path)?;
-        let bytes = std::fs::read(&path)?;
-        let (entries, valid_len, recovered) = replay(&bytes);
-        let dropped = usize::from(valid_len < bytes.len());
-        if dropped == 1 {
-            // Drop the torn tail so the next append starts at a record
-            // boundary; without this the log would stay unparsable past
-            // this point forever.
-            file.set_len(valid_len as u64)?;
-        }
+        let mut entries = HashMap::new();
+        let journal = Journal::open_with(&path, |fields| {
+            let Some((key, qor)) = decode(fields) else { return false };
+            entries.insert(key, qor);
+            true
+        })?;
         Ok(ResultStore {
             path,
-            file: Mutex::new(file),
+            journal,
             entries: Mutex::new(entries),
-            recovered,
-            dropped,
             disk_hits: AtomicUsize::new(0),
         })
     }
@@ -106,13 +93,13 @@ impl ResultStore {
 
     /// Valid records replayed from the log at open.
     pub fn recovered_records(&self) -> usize {
-        self.recovered
+        self.journal.recovered_lines()
     }
 
     /// Whether a torn/corrupt tail was dropped at open (0 or 1: tears are
     /// only ever at the tail of an append-only log).
     pub fn dropped_corrupt_records(&self) -> usize {
-        self.dropped
+        usize::from(self.journal.dropped_tail_bytes() > 0)
     }
 
     /// Lookups served from the store since open.
@@ -142,59 +129,28 @@ impl ResultStore {
         if entries.contains_key(&key) {
             return Ok(());
         }
-        let record = encode_record(key, qor);
-        {
-            let mut file = self.file.lock().expect("store file lock poisoned");
-            file.write_all(&record)?;
-            file.flush()?;
-        }
+        self.journal.append(&format!(
+            "\"netlist_fp\":\"{:016x}\",\"config_fp\":\"{:016x}\",{}",
+            key.0,
+            key.1,
+            qor.json_fields()
+        ))?;
         entries.insert(key, qor.clone());
         Ok(())
     }
 }
 
-/// Fixed per-record overhead: length prefix + key + checksum.
-const HEADER_LEN: usize = 4 + 8 + 8;
-const CHECKSUM_LEN: usize = 8;
-
-/// Encodes one record (see the module docs for the layout).
-fn encode_record(key: (u64, u64), qor: &DesignQor) -> Vec<u8> {
-    let payload = qor.to_json().into_bytes();
-    let mut record = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&key.0.to_le_bytes());
-    record.extend_from_slice(&key.1.to_le_bytes());
-    record.extend_from_slice(&payload);
-    let checksum = fnv1a(&record);
-    record.extend_from_slice(&checksum.to_le_bytes());
-    record
-}
-
-/// Replays a log image: `(entries, valid prefix length, record count)`.
-/// Stops at the first incomplete, checksum-mismatched or unparsable
-/// record; everything before it is kept.
-fn replay(bytes: &[u8]) -> (HashMap<(u64, u64), DesignQor>, usize, usize) {
-    let mut entries = HashMap::new();
-    let mut pos = 0usize;
-    let mut records = 0usize;
-    while let Some(header) = bytes.get(pos..pos + HEADER_LEN) {
-        let payload_len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-        let netlist_fp = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        let config_fp = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-        let body_end = pos + HEADER_LEN + payload_len;
-        let record_end = body_end + CHECKSUM_LEN;
-        let Some(stored) = bytes.get(body_end..record_end) else { break };
-        let checksum = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
-        if fnv1a(&bytes[pos..body_end]) != checksum {
-            break;
-        }
-        let Ok(payload) = std::str::from_utf8(&bytes[pos + HEADER_LEN..body_end]) else { break };
-        let Ok(qor) = DesignQor::from_json(payload) else { break };
-        entries.insert((netlist_fp, config_fp), qor);
-        records += 1;
-        pos = record_end;
-    }
-    (entries, pos, records)
+/// The key and record one log line's fields hold, or `None` when they do
+/// not decode (replay then truncates the log at that line).
+fn decode(fields: &str) -> Option<((u64, u64), DesignQor)> {
+    let object = format!("{{{fields}}}");
+    let pairs = parse_flat_object(&object).ok()?;
+    let fingerprint = |name: &str| {
+        let hex = pairs.iter().find(|(k, _)| k == name)?.1.as_str()?;
+        u64::from_str_radix(hex, 16).ok().filter(|fp| format!("{fp:016x}") == hex)
+    };
+    let key = (fingerprint("netlist_fp")?, fingerprint("config_fp")?);
+    Some((key, DesignQor::from_json(&object).ok()?))
 }
 
 #[cfg(test)]
@@ -249,10 +205,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The acceptance-criteria property test: truncate the log at *every*
-    /// byte boundary inside the trailing record, and separately corrupt
-    /// every byte of it; recovery must keep all earlier records and drop
-    /// exactly the torn one.
+    #[test]
+    fn records_are_checksummed_journal_lines() {
+        let dir = temp_dir("lines");
+        let store = ResultStore::open(&dir).unwrap();
+        store.append((1, u64::MAX), &qor("a", 10.0)).unwrap();
+        let path = store.path().to_path_buf();
+        drop(store);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let expected = format!(
+            "{{\"netlist_fp\":\"0000000000000001\",\"config_fp\":\"ffffffffffffffff\",{},\"ck\":\"",
+            qor("a", 10.0).json_fields()
+        );
+        assert!(text.starts_with(&expected), "{text}");
+
+        // A line whose checksum holds but whose fields are not a record is
+        // rejected, and the log truncated back to the record before it.
+        let keep = text.len();
+        Journal::open(&path).unwrap().append("\"netlist_fp\":\"1\"").unwrap();
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!((store.recovered_records(), store.dropped_corrupt_records()), (1, 1));
+        assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, keep);
+        assert_eq!(store.lookup((1, u64::MAX)).unwrap(), qor("a", 10.0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn recovery_survives_every_trailing_tear_and_corruption() {
         let dir = temp_dir("tear");
@@ -289,8 +266,8 @@ mod tests {
         }
 
         // Bit-rot: flip one byte at every offset of the trailing record.
-        // The checksum (or, for the length prefix, the framing) must
-        // reject it without touching the first two records.
+        // The line checksum must reject it without touching the first two
+        // records, and the log is cut back to them.
         for offset in keep_len..full.len() {
             let mut image = full.clone();
             image[offset] ^= 0xff;
@@ -300,27 +277,24 @@ mod tests {
             assert_eq!(store.dropped_corrupt_records(), 1, "corrupted byte {offset}");
             assert_eq!(store.lookup((2, 2)).unwrap(), qor("b", 20.0));
             assert_eq!(store.lookup((3, 3)), None);
+            assert_eq!(std::fs::read(&path).unwrap(), &full[..keep_len]);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn oversized_length_prefix_is_rejected_as_a_tear() {
-        let dir = temp_dir("badlen");
+    fn a_legacy_store_log_is_left_alone() {
+        let dir = temp_dir("legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        let legacy = dir.join("store.log");
+        let image: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        std::fs::write(&legacy, &image).unwrap();
         let store = ResultStore::open(&dir).unwrap();
+        assert_eq!((store.recovered_records(), store.dropped_corrupt_records()), (0, 0));
         store.append((1, 1), &qor("a", 10.0)).unwrap();
-        let path = store.path().to_path_buf();
         drop(store);
-        // Claim a payload far past EOF: replay must stop cleanly.
-        let mut image = std::fs::read(&path).unwrap();
-        let keep = image.len();
-        image.extend_from_slice(&u32::MAX.to_le_bytes());
-        image.extend_from_slice(&[0u8; 16]);
-        std::fs::write(&path, &image).unwrap();
-        let store = ResultStore::open(&dir).unwrap();
-        assert_eq!(store.recovered_records(), 1);
-        assert_eq!(store.dropped_corrupt_records(), 1);
-        assert_eq!(std::fs::metadata(store.path()).unwrap().len() as usize, keep);
+        assert_eq!(ResultStore::open(&dir).unwrap().recovered_records(), 1);
+        assert_eq!(std::fs::read(&legacy).unwrap(), image, "the old log is never touched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

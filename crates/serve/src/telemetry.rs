@@ -19,14 +19,10 @@
 //! [`WallClockSampler`] thread ticks it every N seconds instead; nothing
 //! else changes.
 //!
-//! The journal reuses the `serve::store` crash-safety discipline: every
-//! line carries an FNV-1a checksum over its own prefix and is appended
-//! with a single `write_all`, so a crash can only tear the final line —
-//! which [`Journal::open`] detects and truncates on replay.
+//! The journal is the crate's one crash-safe log, [`Journal`], which the
+//! result store is built on too: this module only renders each tick's
+//! fields and appends them as one checksummed line.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -34,7 +30,7 @@ use rapids_obs::json::{escape_string, number};
 use rapids_obs::{Alert, Cusum, CusumConfig, Sampler, SamplerConfig, SloConfig, SloTracker};
 use rapids_obs::{Registry, TickSample};
 
-use crate::fingerprint::fnv1a;
+use crate::journal::Journal;
 use crate::timer::Timer;
 
 /// Most recent alerts retained for the `{"cmd":"alerts"}` verb; older
@@ -166,7 +162,7 @@ impl TelemetryPlane {
         if let Some(journal) = &self.journal {
             // Best-effort durability: a failing journal write costs
             // history, never the serving path.
-            let _ = journal.append_tick(&sample, &fired, &slo_status);
+            let _ = journal.append(&tick_fields(&sample, &fired, &slo_status));
         }
         {
             let mut alerts = self.alerts.lock().expect("alert lock poisoned");
@@ -241,168 +237,46 @@ impl WallClockSampler {
     }
 }
 
-/// A crash-safe JSONL telemetry journal (`--telemetry-out FILE`).
+/// Renders one tick record's fields for [`Journal::append`]:
+/// `"tick":…,"counters":{…},"gauges":{…},"latency":{…},"alerts":[…],"slo":[…]`.
 ///
-/// Line format: `{<fields>,"ck":"<16 hex>"}` where the checksum is
-/// FNV-1a over the line's own bytes up to and including `,"ck":"`.
-/// Appends are a single `write_all` + flush under a mutex, so a crash
-/// can only tear the final line; [`Journal::open`] validates every line
-/// on replay and truncates the file at the first torn or corrupt one
-/// (the `serve::store` discipline, line-oriented).
-pub struct Journal {
-    file: Mutex<File>,
-    recovered_lines: usize,
-    dropped_tail_bytes: u64,
-}
-
-impl std::fmt::Debug for Journal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Journal")
-            .field("recovered_lines", &self.recovered_lines)
-            .field("dropped_tail_bytes", &self.dropped_tail_bytes)
-            .finish_non_exhaustive()
-    }
-}
-
-/// `,"ck":"` — the tail marker a valid journal line carries its checksum
-/// behind.
-const CK_MARKER: &str = ",\"ck\":\"";
-/// Bytes after the checksummed prefix: 16 hex digits + `"}`.
-const CK_SUFFIX_LEN: usize = 16 + 2;
-
-impl Journal {
-    /// Opens (creating if missing) the journal at `path`, replaying
-    /// existing lines and truncating a torn/corrupt tail.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file open/read/truncate failures; line-level corruption
-    /// is *handled* (truncated), not an error.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<Journal> {
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-        let mut text = Vec::new();
-        file.read_to_end(&mut text)?;
-
-        let mut valid_len = 0usize;
-        let mut recovered_lines = 0usize;
-        let mut pos = 0usize;
-        while pos < text.len() {
-            let Some(nl) = text[pos..].iter().position(|&b| b == b'\n') else {
-                break; // unterminated tail: torn mid-append
-            };
-            let line = &text[pos..pos + nl];
-            if !line_checksum_valid(line) {
-                break;
-            }
-            recovered_lines += 1;
-            pos += nl + 1;
-            valid_len = pos;
-        }
-        let dropped_tail_bytes = (text.len() - valid_len) as u64;
-        if dropped_tail_bytes > 0 {
-            file.set_len(valid_len as u64)?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        Ok(Journal { file: Mutex::new(file), recovered_lines, dropped_tail_bytes })
-    }
-
-    /// Valid lines found (and kept) at open.
-    pub fn recovered_lines(&self) -> usize {
-        self.recovered_lines
-    }
-
-    /// Torn/corrupt tail bytes truncated at open (0 for a clean file).
-    pub fn dropped_tail_bytes(&self) -> u64 {
-        self.dropped_tail_bytes
-    }
-
-    /// Appends one record.  `fields` is the line's JSON body without the
-    /// outer braces (`"tick":3,…`); the journal wraps it and stamps the
-    /// checksum.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write/flush failure; the caller decides
-    /// whether durability loss is fatal (the telemetry plane treats it
-    /// as best-effort).
-    pub fn append(&self, fields: &str) -> std::io::Result<()> {
-        let prefix = format!("{{{fields}{CK_MARKER}");
-        let line = format!("{prefix}{:016x}\"}}\n", fnv1a(prefix.as_bytes()));
-        let mut file = self.file.lock().expect("journal lock poisoned");
-        file.write_all(line.as_bytes())?;
-        file.flush()
-    }
-
-    /// Renders and appends one tick record:
-    /// `{"tick":…,"counters":{…},"gauges":{…},"latency":{…},"alerts":[…],"slo":[…],"ck":…}`.
-    ///
-    /// The `counters` and `gauges` sections are deterministic under the
-    /// manual-tick contract; `latency` (quantile tracks) carries
-    /// wall-clock data — CI strips it (and the checksum that covers it)
-    /// before diffing against the pinned expectation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write/flush failure.
-    pub fn append_tick(
-        &self,
-        sample: &TickSample,
-        fired: &[Alert],
-        slo_status: &[String],
-    ) -> std::io::Result<()> {
-        use std::fmt::Write as _;
-        let mut fields = format!("\"tick\":{}", sample.tick);
-        let section = |name: &str, points: &[(String, f64)]| {
-            let mut out = format!(",\"{name}\":{{");
-            for (i, (k, v)) in points.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:{}", escape_string(k), number(*v));
-            }
-            out.push('}');
-            out
-        };
-        fields.push_str(&section("counters", &sample.counters));
-        fields.push_str(&section("gauges", &sample.gauges));
-        fields.push_str(&section("latency", &sample.quantiles));
-        fields.push_str(",\"alerts\":[");
-        for (i, alert) in fired.iter().enumerate() {
+/// The `counters` and `gauges` sections are deterministic under the
+/// manual-tick contract; `latency` (quantile tracks) carries wall-clock
+/// data — CI strips it (and the checksum that covers it) before diffing
+/// against the pinned expectation.
+fn tick_fields(sample: &TickSample, fired: &[Alert], slo_status: &[String]) -> String {
+    use std::fmt::Write as _;
+    let mut fields = format!("\"tick\":{}", sample.tick);
+    let section = |name: &str, points: &[(String, f64)]| {
+        let mut out = format!(",\"{name}\":{{");
+        for (i, (k, v)) in points.iter().enumerate() {
             if i > 0 {
-                fields.push(',');
+                out.push(',');
             }
-            fields.push_str(&alert.to_json());
+            let _ = write!(out, "{}:{}", escape_string(k), number(*v));
         }
-        fields.push_str("],\"slo\":[");
-        for (i, status) in slo_status.iter().enumerate() {
-            if i > 0 {
-                fields.push(',');
-            }
-            fields.push_str(status);
+        out.push('}');
+        out
+    };
+    fields.push_str(&section("counters", &sample.counters));
+    fields.push_str(&section("gauges", &sample.gauges));
+    fields.push_str(&section("latency", &sample.quantiles));
+    fields.push_str(",\"alerts\":[");
+    for (i, alert) in fired.iter().enumerate() {
+        if i > 0 {
+            fields.push(',');
         }
-        fields.push(']');
-        self.append(&fields)
+        fields.push_str(&alert.to_json());
     }
-}
-
-/// Whether one journal line's embedded checksum matches its prefix.
-fn line_checksum_valid(line: &[u8]) -> bool {
-    if line.len() < CK_MARKER.len() + CK_SUFFIX_LEN + 2 || !line.ends_with(b"\"}") {
-        return false;
+    fields.push_str("],\"slo\":[");
+    for (i, status) in slo_status.iter().enumerate() {
+        if i > 0 {
+            fields.push(',');
+        }
+        fields.push_str(status);
     }
-    let split = line.len() - CK_SUFFIX_LEN;
-    let (prefix, suffix) = line.split_at(split);
-    if !prefix.ends_with(CK_MARKER.as_bytes()) {
-        return false;
-    }
-    let Ok(hex) = std::str::from_utf8(&suffix[..16]) else {
-        return false;
-    };
-    let Ok(claimed) = u64::from_str_radix(hex, 16) else {
-        return false;
-    };
-    claimed == fnv1a(prefix)
+    fields.push(']');
+    fields
 }
 
 #[cfg(test)]
@@ -415,36 +289,49 @@ mod tests {
         dir.join(format!("rapids_telemetry_{tag}_{}.jsonl", std::process::id()))
     }
 
+    /// Tick lines from two planes over one journal file, as across a
+    /// restart: the second open replays the first plane's lines and the
+    /// second plane appends after them.
     #[test]
     fn journal_round_trips_and_counts_recovered_lines() {
         let path = temp_journal("roundtrip");
         let _ = std::fs::remove_file(&path);
-        {
+        let tick_into = |ticks: usize| {
             let journal = Journal::open(&path).unwrap();
-            assert_eq!(journal.recovered_lines(), 0);
-            journal.append("\"tick\":0,\"counters\":{}").unwrap();
-            journal.append("\"tick\":1,\"counters\":{\"a\":2}").unwrap();
-        }
+            let recovered = journal.recovered_lines();
+            let plane = TelemetryPlane::new(Registry::new(), TelemetryConfig::default())
+                .with_journal(journal);
+            for _ in 0..ticks {
+                plane.tick_now();
+            }
+            recovered
+        };
+        assert_eq!(tick_into(2), 0);
+        assert_eq!(tick_into(1), 2);
         let journal = Journal::open(&path).unwrap();
-        assert_eq!(journal.recovered_lines(), 2);
-        assert_eq!(journal.dropped_tail_bytes(), 0);
+        assert_eq!((journal.recovered_lines(), journal.dropped_tail_bytes()), (3, 0));
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
+        let ticks: Vec<&str> =
+            text.lines().filter_map(|l| Some(l.split_once(",\"counters\":{")?.0)).collect();
+        assert_eq!(ticks, ["{\"tick\":0", "{\"tick\":1", "{\"tick\":0"], "{text}");
         for line in text.lines() {
-            assert!(line_checksum_valid(line.as_bytes()), "{line}");
-            assert!(line.starts_with("{\"tick\":") && line.ends_with("\"}"));
+            assert!(line.contains("\"alerts\":[],\"slo\":[],\"ck\":\""), "{line}");
         }
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Real tick lines, written by a plane: a crash that tears the last one
+    /// at any byte, or flips a byte inside it, loses only that tick, and
+    /// a plane over the recovered journal appends on a clean line.
     #[test]
     fn torn_tail_is_truncated_at_every_byte_boundary() {
         let path = temp_journal("torn");
         let _ = std::fs::remove_file(&path);
         {
-            let journal = Journal::open(&path).unwrap();
-            journal.append("\"tick\":0,\"x\":1").unwrap();
-            journal.append("\"tick\":1,\"x\":2").unwrap();
+            let plane = TelemetryPlane::new(Registry::new(), TelemetryConfig::default())
+                .with_journal(Journal::open(&path).unwrap());
+            plane.tick_now();
+            plane.tick_now();
         }
         let full = std::fs::read(&path).unwrap();
         let first_line_len =
@@ -463,17 +350,19 @@ mod tests {
         // A corrupted (bit-flipped) middle byte of the final line is
         // dropped the same way.
         let mut corrupt = full.clone();
-        let target = first_line_len + 5;
-        corrupt[target] ^= 0x01;
+        corrupt[first_line_len + 5] ^= 0x01;
         std::fs::write(&path, &corrupt).unwrap();
         let journal = Journal::open(&path).unwrap();
         assert_eq!(journal.recovered_lines(), 1);
         assert_eq!(std::fs::read(&path).unwrap(), &full[..first_line_len]);
 
-        // And appends after a truncating replay keep the journal valid.
-        journal.append("\"tick\":1,\"x\":9").unwrap();
-        drop(journal);
-        assert_eq!(Journal::open(&path).unwrap().recovered_lines(), 2);
+        // And ticks after a truncating replay keep the journal valid.
+        let plane =
+            TelemetryPlane::new(Registry::new(), TelemetryConfig::default()).with_journal(journal);
+        plane.tick_now();
+        drop(plane);
+        let journal = Journal::open(&path).unwrap();
+        assert_eq!((journal.recovered_lines(), journal.dropped_tail_bytes()), (2, 0));
         let _ = std::fs::remove_file(&path);
     }
 

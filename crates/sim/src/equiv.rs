@@ -2,7 +2,8 @@
 //!
 //! Rewiring must preserve the primary-output functions exactly; these checks
 //! are the fast (random) and exact-for-small-circuits (exhaustive) oracles
-//! used by tests and by the optimizer's optional self-check mode.
+//! used by tests and by the pipeline's simulation safety net
+//! (`SafetyNet::Simulation` in `rapids-flow`).
 
 use rapids_netlist::Network;
 

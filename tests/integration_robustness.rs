@@ -2,10 +2,11 @@
 //! result store (cache-warm restarts, byte-identity, torn-tail recovery),
 //! per-job deadlines under injected hangs, deterministic fault injection
 //! (panics and transient I/O faults), the interplay of all three with the
-//! batch server, and seeded fuzz loops over the JSON-fed input surfaces and
-//! the BLIF reader.
+//! batch server, and seeded fuzz loops over the JSON-fed input surfaces,
+//! the BLIF reader and the replay of the crash-safe log.
 
 use std::panic::AssertUnwindSafe;
+use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,7 +19,9 @@ use rapids_obs::trace::{chrome_trace_json, TraceEvent};
 use rapids_obs::{CusumConfig, Registry, SloConfig};
 use rapids_serve::report::canonical_sort;
 use rapids_serve::telemetry::{TelemetryConfig, TelemetryPlane};
-use rapids_serve::{BatchServer, DesignQor, Engine, FaultPlan, Job, JobOutcome, ResultStore};
+use rapids_serve::{
+    BatchServer, DesignQor, Engine, FaultPlan, Job, JobOutcome, Journal, ResultStore,
+};
 
 fn batch(config: &PipelineConfig) -> Vec<Job> {
     vec![Job::suite("c432", config), Job::suite("alu2", config), Job::suite("c499", config)]
@@ -85,18 +88,11 @@ fn torn_store_tail_recovers_and_reconverges() {
         let lines = sorted_lines(&server, &jobs);
         let store = server.engine().store().unwrap();
         let path = store.path().to_path_buf();
-        let full = std::fs::metadata(&path).unwrap().len();
-        // Locate the last record's start by replaying lengths: each record
-        // is 20 header bytes + payload + 8 checksum bytes.
+        // Each record is one line: the last one starts after the
+        // second-to-last newline.
         let bytes = std::fs::read(&path).unwrap();
-        let mut pos = 0usize;
-        let mut last_start = 0usize;
-        while pos < bytes.len() {
-            last_start = pos;
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 20 + len + 8;
-        }
-        (lines, path, full, last_start)
+        let last_start = bytes[..bytes.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        (lines, path, bytes.len() as u64, last_start)
     };
 
     // Crash simulation: the final append only half-landed.
@@ -446,4 +442,182 @@ fn blif_survives_seeded_malformed_input() {
     }
     // Both verdicts are well exercised.
     assert!(parsed >= 200 && rejected >= 200, "{parsed} parsed, {rejected} rejected");
+}
+
+/// One random edit of a log image: a truncation at a byte, a flipped bit,
+/// a whole line deleted, duplicated or swapped with another, a stray
+/// newline spliced in, or garbage appended (random bytes, or a
+/// well-framed line under a wrong checksum).
+fn mutate_log(image: &mut Vec<u8>, rng: &mut StdRng) {
+    let mut lines: Vec<Vec<u8>> =
+        image.split_inclusive(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+    let at = rng.gen_range(0..image.len().max(1));
+    match rng.gen_range(0..8u32) {
+        0 => image.truncate(at),
+        1 if !image.is_empty() => image[at] ^= 1 << rng.gen_range(0..8u32),
+        2..=4 if !lines.is_empty() => {
+            let line = rng.gen_range(0..lines.len());
+            match rng.gen_range(0..3u32) {
+                0 => {
+                    lines.remove(line);
+                }
+                1 => lines.insert(rng.gen_range(0..=lines.len()), lines[line].clone()),
+                _ => {
+                    let other = rng.gen_range(0..lines.len());
+                    lines.swap(line, other);
+                }
+            }
+            *image = lines.concat();
+        }
+        5 => image.insert(rng.gen_range(0..=image.len()), b'\n'),
+        6 => image.extend(b"{\"tick\":7,\"ck\":\"0123456789abcdef\"}\n"),
+        _ => image.extend((0..rng.gen_range(1..24usize)).map(|_| rng.gen_range(0..256u32) as u8)),
+    }
+}
+
+/// The replay contract shared by both logs: the file left at `path` is a
+/// prefix of `image` that ends on a line boundary and holds exactly the
+/// `recovered` lines.  Returns that prefix.
+fn assert_replayed_prefix(path: &Path, image: &[u8], recovered: usize) -> Vec<u8> {
+    let kept = std::fs::read(path).unwrap();
+    assert!(image.starts_with(&kept), "replay only truncates");
+    assert!(kept.is_empty() || kept.ends_with(b"\n"), "replay cuts on a line boundary");
+    assert_eq!(kept.iter().filter(|&&b| b == b'\n').count(), recovered);
+    kept
+}
+
+/// Replays a mutated tick journal: truncation to whole lines, a no-op
+/// second open, and an append that survives the next one.  Returns
+/// whether the replay cut anything.
+fn check_journal_replay(path: &Path, image: &[u8]) -> bool {
+    std::fs::write(path, image).unwrap();
+    let journal = Journal::open(path).expect("content never fails an open");
+    let recovered = journal.recovered_lines();
+    let kept = assert_replayed_prefix(path, image, recovered);
+    assert_eq!(journal.dropped_tail_bytes(), (image.len() - kept.len()) as u64);
+    drop(journal);
+
+    let again = Journal::open(path).unwrap();
+    assert_eq!((again.recovered_lines(), again.dropped_tail_bytes()), (recovered, 0));
+    assert_eq!(std::fs::read(path).unwrap(), kept, "a second open changes nothing");
+    again.append("\"tick\":99").unwrap();
+    drop(again);
+    assert_eq!(Journal::open(path).unwrap().recovered_lines(), recovered + 1);
+    kept.len() < image.len()
+}
+
+/// Replays a mutated result store written from `records`, whose lines in
+/// file order are `lines`: the journal's contract, and every record whose
+/// line survived (and only those) answers with exactly the QoR written
+/// under its key.
+fn check_store_replay(
+    dir: &Path,
+    image: &[u8],
+    records: &[((u64, u64), DesignQor)],
+    lines: &[&[u8]],
+) {
+    let path = dir.join("store.jsonl");
+    std::fs::write(&path, image).unwrap();
+    let store = ResultStore::open(dir).expect("content never fails an open");
+    let recovered = store.recovered_records();
+    let kept = assert_replayed_prefix(&path, image, recovered);
+    assert_eq!(store.dropped_corrupt_records(), usize::from(kept.len() < image.len()));
+    for ((key, qor), line) in records.iter().zip(lines) {
+        let survived = kept.split_inclusive(|&b| b == b'\n').any(|kept_line| kept_line == *line);
+        assert_eq!(store.lookup(*key).as_ref(), survived.then_some(qor));
+    }
+    drop(store);
+
+    let again = ResultStore::open(dir).unwrap();
+    assert_eq!((again.recovered_records(), again.dropped_corrupt_records()), (recovered, 0));
+    assert_eq!(std::fs::read(&path).unwrap(), kept, "a second open changes nothing");
+    let (key, qor) = ((u64::MAX, u64::MAX), fuzz_qor(99));
+    again.append(key, &qor).unwrap();
+    drop(again);
+    let last = ResultStore::open(dir).unwrap();
+    assert_eq!(last.recovered_records(), recovered + 1);
+    assert_eq!(last.lookup(key), Some(qor));
+}
+
+/// A QoR record whose name needs escaping and whose numbers need every
+/// digit of their shortest rendering.
+fn fuzz_qor(i: u64) -> DesignQor {
+    let x = i as f64;
+    DesignQor {
+        name: format!("d{i} \"q\"\\\u{e9}"),
+        gate_count: 100 + i as usize,
+        initial_delay_ns: 0.1 + 0.2 * x,
+        gsg_final_delay_ns: 1.0 / (3.0 + x),
+        gs_final_delay_ns: 1e-300 * (x + 1.0),
+        combined_final_delay_ns: 6.02e23 / (x + 7.0),
+        gs_final_area_um2: 4000.0 + x,
+        combined_final_area_um2: 4100.25 - x,
+        gsg_swaps: i as usize,
+        gsg_es_swaps: 2,
+        combined_es_swaps: 3,
+        gs_resized: 40,
+        legalized: i.is_multiple_of(2),
+        hpwl_um: 123456.75 * x,
+        max_displacement_um: 0.5 * x,
+    }
+}
+
+/// Seeded malformed input on the one replay path, through both of its
+/// users: a tick journal and a result store, each written through the
+/// public API, take one to three edits per case and are reopened.  The
+/// open never panics or fails; the file is cut back to a line boundary
+/// and never rewritten; a second open changes nothing; an append after
+/// recovery survives the next open; and a store hit is always the exact
+/// record written under its key.
+#[test]
+fn log_replay_survives_seeded_malformed_input() {
+    let dir = temp_dir("replay_fuzz");
+    let records: Vec<((u64, u64), DesignQor)> =
+        (0..5u64).map(|i| ((i.wrapping_mul(0x9e37_79b9_7f4a_7c15), !i), fuzz_qor(i))).collect();
+    let store_image = {
+        let store = ResultStore::open(&dir).unwrap();
+        for (key, qor) in &records {
+            store.append(*key, qor).unwrap();
+        }
+        std::fs::read(store.path()).unwrap()
+    };
+    let store_lines: Vec<&[u8]> = store_image.split_inclusive(|&b| b == b'\n').collect();
+    assert_eq!(store_lines.len(), records.len());
+
+    let journal_path = dir.join("ticks.jsonl");
+    let journal_image = {
+        let journal = Journal::open(&journal_path).unwrap();
+        for tick in 0..5 {
+            journal
+                .append(&format!("\"tick\":{tick},\"counters\":{{\"serve.jobs\":{tick}}}"))
+                .unwrap();
+        }
+        std::fs::read(&journal_path).unwrap()
+    };
+
+    let mut rng = StdRng::seed_from_u64(0x1065_2019);
+    let mut truncated = 0;
+    for case in 0..FUZZ_CASES {
+        let mut mutants = [journal_image.clone(), store_image.clone()];
+        for mutant in &mut mutants {
+            for _ in 0..rng.gen_range(1..4usize) {
+                mutate_log(mutant, &mut rng);
+            }
+        }
+        let [journal_mutant, store_mutant] = &mutants;
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            check_store_replay(&dir, store_mutant, &records, &store_lines);
+            check_journal_replay(&journal_path, journal_mutant)
+        }));
+        truncated += usize::from(matches!(outcome, Ok(true)));
+        assert!(
+            outcome.is_ok(),
+            "case {case} failed on journal {:?} / store {:?}",
+            String::from_utf8_lossy(journal_mutant),
+            String::from_utf8_lossy(store_mutant)
+        );
+    }
+    // Both verdicts are well exercised.
+    assert!((100..=900).contains(&truncated), "{truncated} of {FUZZ_CASES} journals cut");
+    let _ = std::fs::remove_dir_all(&dir);
 }
