@@ -41,22 +41,33 @@ fi
 
 echo "==> cargo clippy (all targets, warnings are errors)"
 # No allowlist flags here: the few intentional lint exceptions are local
-# #[allow]s with justifying comments at the exact sites (eq_op oracle in
-# rapids-core, argument-heavy scorer in rapids-sizing, index-loop tests in
-# rapids-circuits).
+# #[allow]s with justifying comments at the exact sites (argument-heavy
+# scorer in rapids-sizing, index-loop tests in rapids-circuits).
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> examples smoke (every [[example]] of rapids-flow runs and exits 0)"
+# The examples are the documented entry points into the flow; each must
+# exit 0.  symmetry_explore also asserts exhaustive equivalence for the
+# Fig. 2 swaps and the Fig. 3 cross-supergate swap (Theorem 2).  Together
+# they run in well under a second in release.
+cargo build --release --examples
+examples=$(sed -n '/^\[\[example\]\]$/{n;s/^name = "\(.*\)"$/\1/p}' crates/flow/Cargo.toml)
+if [ -z "$examples" ]; then
+    echo "error: no [[example]] found in crates/flow/Cargo.toml" >&2
+    exit 1
+fi
+for ex in $examples; do
+    timeout 60 "./target/release/examples/$ex" > /dev/null
+done
 
 echo "==> perfbench unit tests (the benchmark harness builds against the crates' public API)"
 # perfbench/ is a package of its own outside the workspace, so no other
 # step compiles it: this catches a crate change that breaks the benchmark
 # build, including the forwards kept only for it.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
-
-echo "==> cargo build --benches (compile-only; benches are excluded from tier-1 runtime)"
-cargo build --benches
 
 echo "==> cargo test -q"
 cargo test -q

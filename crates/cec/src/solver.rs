@@ -277,16 +277,6 @@ impl Solver {
         self.assign.len()
     }
 
-    /// Number of live (non-deleted) clauses, original plus learnt.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
-    }
-
-    /// Whether the formula is already known unsatisfiable outright.
-    pub fn is_unsat(&self) -> bool {
-        self.unsat
-    }
-
     fn lit_value(&self, l: Lit) -> Option<bool> {
         match self.assign[l.var() as usize] {
             0 => None,

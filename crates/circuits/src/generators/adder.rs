@@ -1,5 +1,5 @@
-//! Ripple-carry and carry-select adders: the canonical "long critical path"
-//! arithmetic circuits used to exercise timing optimization.
+//! Ripple-carry adders: the canonical "long critical path" arithmetic
+//! circuits used to exercise timing optimization.
 
 use rapids_netlist::{GateType, Network, NetworkBuilder};
 
@@ -40,79 +40,6 @@ pub fn ripple_carry_adder(bits: usize) -> Network {
     b.finish().expect("generated adder is structurally valid")
 }
 
-/// Builds an `n`-bit carry-select adder: the high half is computed twice
-/// (with carry-in 0 and 1) and selected, producing the wide multiplexer
-/// structures that give the rewiring engine OR-supergates to work with.
-///
-/// # Panics
-///
-/// Panics if `bits < 2`.
-pub fn carry_select_adder(bits: usize) -> Network {
-    assert!(bits >= 2, "carry-select adder needs at least 2 bits");
-    let low_bits = bits / 2;
-    let high_bits = bits - low_bits;
-    let mut b = NetworkBuilder::new(format!("csa{bits}"));
-    b.input("cin");
-    for i in 0..bits {
-        b.input(format!("a{i}"));
-        b.input(format!("b{i}"));
-    }
-
-    // Low half: plain ripple.
-    let mut carry = "cin".to_string();
-    for i in 0..low_bits {
-        let a = format!("a{i}");
-        let bb = format!("b{i}");
-        b.gate(format!("lp{i}"), GateType::Xor, &[&a, &bb]);
-        b.gate(format!("lg{i}"), GateType::And, &[&a, &bb]);
-        b.gate(format!("sum{i}"), GateType::Xor, &[&format!("lp{i}"), &carry]);
-        b.gate(format!("lt{i}"), GateType::And, &[&format!("lp{i}"), &carry]);
-        b.gate(format!("lc{i}"), GateType::Or, &[&format!("lg{i}"), &format!("lt{i}")]);
-        b.output(format!("sum{i}"));
-        carry = format!("lc{i}");
-    }
-    let select = carry;
-
-    // High half twice, with constant carry-in 0 and 1.
-    b.constant("zero", false);
-    b.constant("one", true);
-    for (tag, cin_name) in [("z", "zero"), ("o", "one")] {
-        let mut c = cin_name.to_string();
-        for i in 0..high_bits {
-            let bit = low_bits + i;
-            let a = format!("a{bit}");
-            let bb = format!("b{bit}");
-            b.gate(format!("{tag}p{i}"), GateType::Xor, &[&a, &bb]);
-            b.gate(format!("{tag}g{i}"), GateType::And, &[&a, &bb]);
-            b.gate(format!("{tag}s{i}"), GateType::Xor, &[&format!("{tag}p{i}"), &c]);
-            b.gate(format!("{tag}t{i}"), GateType::And, &[&format!("{tag}p{i}"), &c]);
-            b.gate(
-                format!("{tag}c{i}"),
-                GateType::Or,
-                &[&format!("{tag}g{i}"), &format!("{tag}t{i}")],
-            );
-            c = format!("{tag}c{i}");
-        }
-        b.gate(format!("{tag}cout"), GateType::Buf, &[&c]);
-    }
-
-    // Select between the two speculative halves.
-    b.gate("nsel", GateType::Inv, &["nselsrc"]);
-    b.gate("nselsrc", GateType::Buf, &[&select]);
-    for i in 0..high_bits {
-        let bit = low_bits + i;
-        b.gate(format!("m0_{i}"), GateType::And, &[&format!("zs{i}"), "nsel"]);
-        b.gate(format!("m1_{i}"), GateType::And, &[&format!("os{i}"), "nselsrc"]);
-        b.gate(format!("sum{bit}"), GateType::Or, &[&format!("m0_{i}"), &format!("m1_{i}")]);
-        b.output(format!("sum{bit}"));
-    }
-    b.gate("cm0", GateType::And, &["zcout", "nsel"]);
-    b.gate("cm1", GateType::And, &["ocout", "nselsrc"]);
-    b.gate("cout", GateType::Or, &["cm0", "cm1"]);
-    b.output("cout");
-    b.finish().expect("generated carry-select adder is structurally valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,26 +74,6 @@ mod tests {
             let got = add_via_sim(&n, bits, a, b, c);
             let expect = a + b + c as u64;
             assert_eq!(got, expect, "{a}+{b}+{c}");
-        }
-    }
-
-    #[test]
-    fn carry_select_matches_ripple() {
-        let bits = 8;
-        let rca = ripple_carry_adder(bits);
-        let csa = carry_select_adder(bits);
-        for (a, b, c) in [
-            (0u64, 0u64, false),
-            (200, 55, true),
-            (129, 126, false),
-            (255, 255, true),
-            (170, 85, false),
-        ] {
-            assert_eq!(
-                add_via_sim(&rca, bits, a, b, c),
-                add_via_sim(&csa, bits, a, b, c),
-                "{a}+{b}+{c}"
-            );
         }
     }
 

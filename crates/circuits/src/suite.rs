@@ -252,12 +252,6 @@ pub fn generate_raw(s: &BenchmarkSpec) -> Network {
     }
 }
 
-/// A small fast subset of the suite used by integration tests and smoke
-/// benchmarks (the full Table 1 run uses every entry).
-pub fn smoke_suite_names() -> Vec<&'static str> {
-    vec!["alu2", "c432", "c499", "c1908"]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,7 +272,7 @@ mod tests {
 
     #[test]
     fn smoke_entries_generate_and_are_mapped() {
-        for name in smoke_suite_names() {
+        for name in ["alu2", "c432", "c499", "c1908"] {
             let n = benchmark(name).unwrap();
             assert!(is_mapped(&n, 4), "{name} not fully mapped");
             assert!(n.check_consistency().is_ok(), "{name} inconsistent");

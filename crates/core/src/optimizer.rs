@@ -54,7 +54,9 @@ use rapids_celllib::Library;
 use rapids_legalize::RowModel;
 use rapids_netlist::{GateId, Network};
 use rapids_placement::{gate_width_sites, Placement, Point};
-use rapids_sizing::{neighborhood_eval, CancelToken, GateSizer, SizerConfig};
+use rapids_sizing::{
+    neighborhood_eval, resized_since, size_classes, CancelToken, GateSizer, SizerConfig,
+};
 use rapids_timing::{IncrementalSta, IncrementalStats, NetCache, TimingConfig, TimingReport};
 
 use crate::report::SupergateStatistics;
@@ -83,6 +85,10 @@ impl std::fmt::Display for OptimizerKind {
     }
 }
 
+/// Gates (and supergates) within this margin of the worst slack count as
+/// critical, ns.
+const CRITICAL_MARGIN_NS: f64 = 0.2;
+
 /// Configuration of the post-placement optimizer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerConfig {
@@ -90,8 +96,6 @@ pub struct OptimizerConfig {
     pub kind: OptimizerKind,
     /// Maximum number of min-slack + relaxation passes.
     pub max_passes: usize,
-    /// Gates within this margin of the worst slack count as critical, ns.
-    pub critical_margin_ns: f64,
     /// Allow inverting (ES) swaps, which exchange two symmetric pins of
     /// opposite implied polarity and insert an inverter pair to compensate
     /// (Lemma 7).  Each inserted inverter is hosted on an internal overlay
@@ -117,7 +121,6 @@ impl Default for OptimizerConfig {
         OptimizerConfig {
             kind: OptimizerKind::Combined,
             max_passes: 4,
-            critical_margin_ns: 0.2,
             include_inverting_swaps: false,
             threads: 1,
             sizer: SizerConfig::default(),
@@ -126,11 +129,6 @@ impl Default for OptimizerConfig {
 }
 
 impl OptimizerConfig {
-    /// Convenience constructor for a specific optimizer kind.
-    pub fn for_kind(kind: OptimizerKind) -> Self {
-        OptimizerConfig { kind, ..Self::default() }
-    }
-
     /// Reduced-effort configuration for tests and smoke benchmarks.
     pub fn fast(kind: OptimizerKind) -> Self {
         OptimizerConfig { kind, max_passes: 2, sizer: SizerConfig::fast(), ..Self::default() }
@@ -160,7 +158,7 @@ pub struct OptimizationOutcome {
     /// one inverter pair, so the optimized network carries
     /// `2 × inverting_swaps_applied` more live gates than the input.
     pub inverting_swaps_applied: usize,
-    /// Number of gates whose drive strength changed.
+    /// Number of gates whose final drive strength differs from the input.
     pub gates_resized: usize,
     /// Overlay positions of the inverters inserted by applied ES swaps,
     /// `(gate, location)` per inverter (empty unless
@@ -451,10 +449,8 @@ impl Optimizer {
             let mut index: Vec<usize> = (0..ordered.len()).collect();
             index.sort_by(|&a, &b| slack_of[a].total_cmp(&slack_of[b]));
             ordered = index.iter().map(|&i| ordered[i]).collect();
-            let critical_flag: Vec<bool> = index
-                .iter()
-                .map(|&i| slack_of[i] <= worst_slack + self.config.critical_margin_ns)
-                .collect();
+            let critical_flag: Vec<bool> =
+                index.iter().map(|&i| slack_of[i] <= worst_slack + CRITICAL_MARGIN_NS).collect();
 
             let critical: Vec<&Supergate> =
                 ordered.iter().zip(&critical_flag).filter(|(_, &c)| c).map(|(sg, _)| *sg).collect();
@@ -606,7 +602,7 @@ impl Optimizer {
         inc: &mut IncrementalSta,
         cache: &mut NetCache,
     ) -> usize {
-        let mut resized: HashSet<GateId> = HashSet::new();
+        let initial_classes = size_classes(network);
         for _ in 0..self.config.sizer.max_passes {
             if self.cancel.is_cancelled() {
                 break;
@@ -630,10 +626,7 @@ impl Optimizer {
             let mut journal: Vec<(GateId, u8)> = Vec::new();
             let visit_span = rapids_obs::span("optimizer.sizing_visit");
             for g in gates {
-                let is_critical = report.slack(g) <= worst + self.config.critical_margin_ns;
-                if !is_critical && !self.config.sizer.recover_area {
-                    continue;
-                }
+                let is_critical = report.slack(g) <= worst + CRITICAL_MARGIN_NS;
                 if let Some(best) = decide_best_drive_local(
                     network,
                     library,
@@ -651,7 +644,6 @@ impl Optimizer {
                     for f in fanins {
                         cache.invalidate_loads(f);
                     }
-                    resized.insert(g);
                 }
             }
             drop(visit_span);
@@ -673,8 +665,9 @@ impl Optimizer {
                 break;
             }
         }
-        rapids_obs::metrics::counter("sizer.gates_resized").add(resized.len() as u64);
-        resized.len()
+        let resized = resized_since(network, &initial_classes);
+        rapids_obs::metrics::counter("sizer.gates_resized").add(resized as u64);
+        resized
     }
 }
 

@@ -19,7 +19,7 @@
 //! (column 14); removal is provided for the simple same-gate duplicate case
 //! and is exercised by the tests.
 
-use rapids_netlist::{GateId, GateType, Logic, Network, PinRef};
+use rapids_netlist::{GateId, GateType, Network, PinRef};
 
 use crate::supergate::{Extraction, PinClass, Supergate};
 
@@ -149,18 +149,6 @@ pub fn count_by_kind(findings: &[Redundancy]) -> (usize, usize, usize) {
     (conflicting, agreeing, xor)
 }
 
-/// Returns `true` if an agreeing-implication stem really is redundant, i.e.
-/// the supergate's function does not change when the duplicate requirement is
-/// collapsed.  (Used by tests as an oracle; always true by construction.)
-// The repeated operands are the whole point: this spells out the idempotence
-// laws the redundancy collapse relies on, as an executable oracle.
-#[allow(clippy::eq_op, clippy::nonminimal_bool)]
-pub fn duplicate_is_logically_redundant(value: Logic) -> bool {
-    // x·x = x and x+x = x for either polarity of x.
-    let x = value.to_bool();
-    (x && x) == x && (x || x) == x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +270,5 @@ mod tests {
         let n = b.finish().unwrap();
         let ex = extract_supergates(&n);
         assert!(find_redundancies(&ex).is_empty());
-        assert!(duplicate_is_logically_redundant(Logic::One));
-        assert!(duplicate_is_logically_redundant(Logic::Zero));
     }
 }

@@ -105,7 +105,6 @@ impl Supergate {
 pub struct Extraction {
     supergates: Vec<Supergate>,
     root_index: HashMap<GateId, usize>,
-    cover_index: HashMap<GateId, usize>,
 }
 
 impl Extraction {
@@ -117,12 +116,6 @@ impl Extraction {
     /// The supergate rooted at `root`, if that gate is a root.
     pub fn supergate_of_root(&self, root: GateId) -> Option<&Supergate> {
         self.root_index.get(&root).map(|&i| &self.supergates[i])
-    }
-
-    /// The supergate covering `gate` (every live logic gate is covered by
-    /// exactly one supergate).
-    pub fn covering_supergate(&self, gate: GateId) -> Option<&Supergate> {
-        self.cover_index.get(&gate).map(|&i| &self.supergates[i])
     }
 
     /// Number of logic gates covered by non-trivial supergates.
@@ -148,7 +141,6 @@ pub fn extract_supergates(network: &Network) -> Extraction {
     let mut covered = vec![false; network.gate_count()];
     let mut supergates = Vec::new();
     let mut root_index = HashMap::new();
-    let mut cover_index = HashMap::new();
 
     for g in order {
         let gate = network.gate(g);
@@ -158,15 +150,10 @@ pub fn extract_supergates(network: &Network) -> Extraction {
         // Any logic gate not swallowed by an enclosing supergate becomes a
         // root: this covers primary-output drivers, multi-fanout gates and
         // propagation stop points alike.
-        let sg = extract_from_root(network, g, &mut covered);
-        let idx = supergates.len();
-        root_index.insert(g, idx);
-        for &m in &sg.members {
-            cover_index.insert(m, idx);
-        }
-        supergates.push(sg);
+        root_index.insert(g, supergates.len());
+        supergates.push(extract_from_root(network, g, &mut covered));
     }
-    Extraction { supergates, root_index, cover_index }
+    Extraction { supergates, root_index }
 }
 
 /// Extracts the supergate rooted at `root`, marking covered gates.
@@ -288,6 +275,16 @@ mod tests {
     use super::*;
     use rapids_netlist::{GateType, NetworkBuilder};
 
+    /// The members of every supergate, sorted and deduplicated: equal to
+    /// the network's logic gates exactly when the supergates cover them all.
+    fn covered_gates(ex: &Extraction) -> Vec<GateId> {
+        let mut covered: Vec<GateId> =
+            ex.supergates().iter().flat_map(|sg| sg.members.iter().copied()).collect();
+        covered.sort_unstable();
+        covered.dedup();
+        covered
+    }
+
     /// Fig. 2-style network: f = AND(h, AND(k, m)), fanout-free.
     fn and_tree() -> Network {
         let mut b = NetworkBuilder::new("fig2");
@@ -312,8 +309,7 @@ mod tests {
         }
         // Every logic gate covered exactly once.
         assert_eq!(ex.supergates().len(), 1);
-        let g1 = n.find_by_name("g1").unwrap();
-        assert_eq!(ex.covering_supergate(g1).unwrap().root, f);
+        assert_eq!(covered_gates(&ex), n.iter_logic().collect::<Vec<_>>());
     }
 
     #[test]
@@ -457,9 +453,7 @@ mod tests {
         let ex = extract_supergates(&n);
         let total_members: usize = ex.supergates().iter().map(|sg| sg.size()).sum();
         assert_eq!(total_members, n.logic_gate_count());
-        for g in n.iter_logic() {
-            assert!(ex.covering_supergate(g).is_some(), "{g} not covered");
-        }
+        assert_eq!(covered_gates(&ex), n.iter_logic().collect::<Vec<_>>());
         assert!(ex.largest_input_count() >= 2);
         assert!(ex.covered_by_nontrivial() > 0);
     }

@@ -10,7 +10,7 @@
 //! row model:
 //!
 //! * [`RowModel`] — integer-site occupancy per standard-cell row, derived
-//!   from [`Placement`] geometry and library footprints
+//!   from [`rapids_placement::Placement`] geometry and library footprints
 //!   ([`rapids_placement::gate_width_sites`]), with a deterministic
 //!   nearest-free-slot query;
 //! * [`legalize`] — an Abacus-style full legalizer: overlap-free result,
@@ -58,8 +58,6 @@ pub use abacus::{legalize, LegalizeOutcome};
 pub use refine::{refine_worst_slack, RefineConfig, RefineOutcome};
 pub use rows::RowModel;
 
-use rapids_placement::Placement;
-
 /// Flow-level knobs of the legalization subsystem (carried by
 /// `rapids_flow::PipelineConfig::legalize`).
 ///
@@ -101,14 +99,4 @@ impl LegalizeConfig {
     pub fn enabled() -> Self {
         LegalizeConfig { enabled: true, ..Self::default() }
     }
-}
-
-/// Convenience used by tests and the flow's safety nets: `true` when the
-/// placement is legal for the network under the library's footprints.
-pub fn is_legal(
-    placement: &Placement,
-    network: &rapids_netlist::Network,
-    library: &rapids_celllib::Library,
-) -> bool {
-    placement.check_legal(network, library).is_ok()
 }

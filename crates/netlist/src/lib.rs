@@ -13,8 +13,8 @@
 //!
 //! The crate also provides:
 //!
-//! * topological ordering, levelization and fanout-free-region queries
-//!   ([`topo`], [`cone`]),
+//! * topological ordering, levelization and transitive fan-in/fan-out
+//!   queries ([`topo`]),
 //! * a small BLIF-like text format for examples and round-tripping ([`blif`]),
 //! * structural statistics used by the experiment reports ([`stats`]),
 //! * an ergonomic [`builder::NetworkBuilder`] for hand-built figures from the
@@ -37,7 +37,6 @@
 
 pub mod blif;
 pub mod builder;
-pub mod cone;
 pub mod error;
 pub mod flat;
 pub mod gate;

@@ -6,8 +6,8 @@
 //! placer and then *extracts cell locations*; the rewiring engine never moves
 //! a cell afterwards.  This crate provides the equivalent substrate: a
 //! simulated-annealing row placer that minimizes half-perimeter wire length
-//! (optionally timing-weighted), the star-model net decomposition of
-//! Riess/Ettl used by the paper's interconnect model, and a congestion map.
+//! (optionally timing-weighted) and the star-model net decomposition of
+//! Riess/Ettl used by the paper's interconnect model.
 //!
 //! ```
 //! use rapids_celllib::Library;
@@ -26,11 +26,9 @@
 //! ```
 
 pub mod annealer;
-pub mod congestion;
 pub mod geometry;
 pub mod star;
 
 pub use annealer::{place, PlacerConfig};
-pub use congestion::CongestionMap;
 pub use geometry::{gate_width_sites, gate_width_um, Placement, Point, Region};
 pub use star::{net_star, StarNet, StarSegment};

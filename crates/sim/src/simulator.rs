@@ -80,12 +80,6 @@ impl Simulator {
         let values = self.simulate_word(network, &words);
         network.outputs().iter().map(|o| values[o.driver.index()] & 1 == 1).collect()
     }
-
-    /// Primary-output value words extracted from a full value table produced
-    /// by [`Simulator::simulate_word`].
-    pub fn output_words(&self, network: &Network, values: &[u64]) -> Vec<u64> {
-        network.outputs().iter().map(|o| values[o.driver.index()]).collect()
-    }
 }
 
 #[cfg(test)]

@@ -42,4 +42,4 @@ pub use neighborhood::{
     neighborhood_slack_ns, NeighborhoodEval,
 };
 pub use parallel::contiguous_disjoint_batches;
-pub use sizer::{GateSizer, SizerConfig, SizingOutcome};
+pub use sizer::{resized_since, size_classes, GateSizer, SizerConfig, SizingOutcome};

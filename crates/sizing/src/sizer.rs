@@ -9,9 +9,7 @@
 //! (`SizerConfig::threads`) with bit-identical results to the sequential
 //! visit.
 
-use std::collections::HashSet;
-
-use rapids_celllib::{DriveStrength, Library};
+use rapids_celllib::Library;
 use rapids_netlist::{GateId, Network};
 use rapids_placement::Placement;
 use rapids_timing::{IncrementalSta, NetCache, TimingConfig, TimingReport};
@@ -20,20 +18,20 @@ use crate::cancel::CancelToken;
 use crate::neighborhood::neighborhood_eval;
 use crate::parallel::visit_in_disjoint_batches;
 
+/// Gates whose slack is within this margin of the worst slack are critical
+/// and visited by the min-slack phase; the relaxation phase visits the rest,
+/// ns.
+const CRITICAL_MARGIN_NS: f64 = 0.15;
+
+/// Minimum improvement of the critical-path delay required to start another
+/// pass, ns.
+const CONVERGENCE_THRESHOLD_NS: f64 = 1e-4;
+
 /// Configuration of the sizing optimizer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizerConfig {
     /// Maximum number of (min-slack + relaxation) passes.
     pub max_passes: usize,
-    /// Gates whose slack is within this margin of the worst slack are
-    /// considered critical and visited by the min-slack phase, ns.
-    pub critical_margin_ns: f64,
-    /// Minimum improvement of the critical-path delay required to start
-    /// another pass, ns.
-    pub convergence_threshold_ns: f64,
-    /// Whether the relaxation phase may downsize non-critical gates to
-    /// recover area.
-    pub recover_area: bool,
     /// Worker threads for candidate scoring (1 = fully sequential).  Any
     /// thread count takes identical decisions and sizing is bit-exact; the
     /// normative statement lives in [`crate::parallel`] (the `threads`
@@ -43,13 +41,7 @@ pub struct SizerConfig {
 
 impl Default for SizerConfig {
     fn default() -> Self {
-        SizerConfig {
-            max_passes: 6,
-            critical_margin_ns: 0.15,
-            convergence_threshold_ns: 1e-4,
-            recover_area: true,
-            threads: 1,
-        }
+        SizerConfig { max_passes: 6, threads: 1 }
     }
 }
 
@@ -71,7 +63,7 @@ pub struct SizingOutcome {
     pub initial_area_um2: f64,
     /// Total cell area after optimization, µm².
     pub final_area_um2: f64,
-    /// Number of gates whose implementation changed.
+    /// Number of gates whose final drive strength differs from the input.
     pub resized_gates: usize,
     /// Number of optimization passes executed.
     pub passes: usize,
@@ -163,7 +155,7 @@ impl GateSizer {
         let mut cache = NetCache::for_network(network);
         let initial_delay_ns = inc.report().critical_delay_ns();
         let initial_area_um2 = library.network_area_um2(network);
-        let mut resized: HashSet<GateId> = HashSet::new();
+        let initial_classes = size_classes(network);
 
         let mut best_delay = initial_delay_ns;
         let mut passes = 0;
@@ -178,15 +170,8 @@ impl GateSizer {
             // independently: a relaxation step that turns out to hurt the
             // global critical path is rolled back without discarding the
             // delay gains of the min-slack phase.
-            let journal_min = self.min_slack_phase(
-                network,
-                library,
-                placement,
-                timing,
-                inc.report(),
-                &mut cache,
-                &mut resized,
-            );
+            let journal_min =
+                self.min_slack_phase(network, library, placement, timing, inc.report(), &mut cache);
             let changed_min = journal_min.len();
             let touched_min: Vec<GateId> = journal_min.iter().map(|&(g, _)| g).collect();
             inc.update(network, library, placement, &touched_min);
@@ -196,29 +181,24 @@ impl GateSizer {
                 inc.update(network, library, placement, &touched_min);
                 break;
             }
-            let mut changed_relax = 0;
-            if self.config.recover_area {
-                let journal_relax = self.relaxation_phase(
-                    network,
-                    library,
-                    placement,
-                    timing,
-                    inc.report(),
-                    &mut cache,
-                    &mut resized,
-                );
-                changed_relax = journal_relax.len();
-                let touched: Vec<GateId> = journal_relax.iter().map(|&(g, _)| g).collect();
+            let journal_relax = self.relaxation_phase(
+                network,
+                library,
+                placement,
+                timing,
+                inc.report(),
+                &mut cache,
+            );
+            let mut changed_relax = journal_relax.len();
+            let touched: Vec<GateId> = journal_relax.iter().map(|&(g, _)| g).collect();
+            inc.update(network, library, placement, &touched);
+            if inc.report().critical_delay_ns() > after_min + 1e-9 {
+                rollback(network, &mut cache, &journal_relax);
                 inc.update(network, library, placement, &touched);
-                let after_relax = inc.report().critical_delay_ns();
-                if after_relax > after_min + 1e-9 {
-                    rollback(network, &mut cache, &journal_relax);
-                    inc.update(network, library, placement, &touched);
-                    changed_relax = 0;
-                }
+                changed_relax = 0;
             }
             let after = inc.report().critical_delay_ns();
-            let improved = best_delay - after > self.config.convergence_threshold_ns;
+            let improved = best_delay - after > CONVERGENCE_THRESHOLD_NS;
             if after < best_delay {
                 best_delay = after;
             }
@@ -227,14 +207,14 @@ impl GateSizer {
             }
         }
 
-        rapids_obs::metrics::counter("sizer.gates_resized").add(resized.len() as u64);
-        let final_report = inc.report();
+        let resized_gates = resized_since(network, &initial_classes);
+        rapids_obs::metrics::counter("sizer.gates_resized").add(resized_gates as u64);
         SizingOutcome {
             initial_delay_ns,
-            final_delay_ns: final_report.critical_delay_ns(),
+            final_delay_ns: inc.report().critical_delay_ns(),
             initial_area_um2,
             final_area_um2: library.network_area_um2(network),
-            resized_gates: resized.len(),
+            resized_gates,
             passes,
         }
     }
@@ -252,17 +232,16 @@ impl GateSizer {
         timing: &TimingConfig,
         report: &TimingReport,
         cache: &mut NetCache,
-        resized: &mut HashSet<GateId>,
     ) -> SizeJournal {
         let _span = rapids_obs::span("sizer.visit_min");
         let worst = report.worst_slack_ns();
         let mut critical: Vec<GateId> = network
             .iter_logic()
-            .filter(|&g| report.slack(g) <= worst + self.config.critical_margin_ns)
+            .filter(|&g| report.slack(g) <= worst + CRITICAL_MARGIN_NS)
             .collect();
         critical.sort_by(|&a, &b| report.slack(a).total_cmp(&report.slack(b)));
         self.visit_gates(
-            network, library, placement, timing, report, cache, &critical, false, worst, resized,
+            network, library, placement, timing, report, cache, &critical, false, worst,
         )
     }
 
@@ -278,17 +257,14 @@ impl GateSizer {
         timing: &TimingConfig,
         report: &TimingReport,
         cache: &mut NetCache,
-        resized: &mut HashSet<GateId>,
     ) -> SizeJournal {
         let _span = rapids_obs::span("sizer.visit_relax");
         let worst = report.worst_slack_ns();
         let relaxed: Vec<GateId> = network
             .iter_logic()
-            .filter(|&g| report.slack(g) > worst + self.config.critical_margin_ns)
+            .filter(|&g| report.slack(g) > worst + CRITICAL_MARGIN_NS)
             .collect();
-        self.visit_gates(
-            network, library, placement, timing, report, cache, &relaxed, true, worst, resized,
-        )
+        self.visit_gates(network, library, placement, timing, report, cache, &relaxed, true, worst)
     }
 
     /// Decides and applies the best drive strength for every gate in `gates`
@@ -307,7 +283,6 @@ impl GateSizer {
         gates: &[GateId],
         relaxation: bool,
         worst_slack: f64,
-        resized: &mut HashSet<GateId>,
     ) -> SizeJournal {
         let mut journal = SizeJournal::new();
         visit_in_disjoint_batches(
@@ -331,8 +306,7 @@ impl GateSizer {
                 )
             },
             |network, _placement, cache, &g, best| {
-                apply_class(network, cache, &mut journal, g, best);
-                resized.insert(g);
+                apply_class(network, cache, &mut journal, g, best)
             },
         );
         journal
@@ -456,6 +430,24 @@ fn rollback(network: &mut Network, cache: &mut NetCache, journal: &[(GateId, u8)
     }
 }
 
+/// Every live gate's size class, in [`Network::iter_live`] order: the
+/// snapshot a sizing run takes on entry for [`resized_since`].
+pub fn size_classes(network: &Network) -> Vec<u8> {
+    network.iter_live().map(|g| network.gate(g).size_class).collect()
+}
+
+/// The number of live gates whose size class differs from `before`, a
+/// [`size_classes`] snapshot of the same structure (sizing never changes
+/// it).  A change that a rolled-back phase or a later pass undid does not
+/// count.
+pub fn resized_since(network: &Network, before: &[u8]) -> usize {
+    network
+        .iter_live()
+        .zip(before)
+        .filter(|&(g, &class)| network.gate(g).size_class != class)
+        .count()
+}
+
 /// The gates whose timing a sizing decision at `gate` can read or perturb:
 /// the gate, its fan-in drivers, and the sinks of all of those nets.  Two
 /// gates with disjoint regions can be scored in either order (or
@@ -470,12 +462,6 @@ fn sizing_region(network: &Network, gate: GateId) -> Vec<GateId> {
     region.sort_unstable();
     region.dedup();
     region
-}
-
-/// Returns the drive strength currently assigned to a gate (helper for
-/// reports).
-pub fn assigned_drive(network: &Network, gate: GateId) -> DriveStrength {
-    DriveStrength::from_size_class(network.gate(gate).size_class)
 }
 
 #[cfg(test)]

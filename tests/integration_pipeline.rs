@@ -47,6 +47,26 @@ fn combined_runs_through_pipeline() {
 }
 
 #[test]
+fn gates_resized_counts_gates_whose_final_drive_differs() {
+    // A gate resized by a phase that was rolled back, or resized and then
+    // restored by a later pass, ends at its input drive and does not count.
+    let pipeline = Pipeline::with_defaults();
+    let design = pipeline.prepare(CircuitSource::suite("c432")).unwrap();
+    for kind in [OptimizerKind::Sizing, OptimizerKind::Combined] {
+        let report = pipeline.optimize(&design, kind).unwrap();
+        let differing = design
+            .network
+            .iter_live()
+            .filter(|&g| report.network.gate(g).size_class != design.network.gate(g).size_class)
+            .count();
+        assert_eq!(report.outcome.gates_resized, differing, "{kind}");
+        if kind == OptimizerKind::Sizing {
+            assert!(differing > 0, "GS must resize some c432 gate");
+        }
+    }
+}
+
+#[test]
 fn compare_optimizers_shares_one_placement() {
     let comparison = Pipeline::fast().compare_optimizers(CircuitSource::suite("alu2")).unwrap();
     assert_eq!(comparison.rewiring.initial_delay_ns, comparison.sizing.initial_delay_ns);

@@ -4,7 +4,7 @@
 //! through the [`Pipeline`] front half ([`Pipeline::prepare`]).
 
 use rapids_flow::{CircuitSource, Pipeline, PipelineConfig};
-use rapids_placement::{CongestionMap, PlacerConfig};
+use rapids_placement::PlacerConfig;
 use rapids_timing::{Sta, TimingConfig};
 
 fn fast_pipeline_with_seed(seed: u64) -> Pipeline {
@@ -60,12 +60,4 @@ fn critical_path_is_a_connected_input_to_output_path() {
     }
     assert!(design.network.gate(path[0]).gtype.is_source());
     assert!(design.network.drives_output(*path.last().unwrap()));
-}
-
-#[test]
-fn congestion_map_tracks_placement() {
-    let design = fast_pipeline_with_seed(23).prepare(CircuitSource::suite("c432")).unwrap();
-    let map = CongestionMap::build(&design.network, &design.placement, 8, 8);
-    assert!(map.peak_demand() > 0.0);
-    assert!(map.peak_demand() >= map.average_demand());
 }
