@@ -136,6 +136,14 @@ timeout 120 ./target/release/rapids-serve --fast --workers 2 --sort \
     alu2 c432 c499 --blif-dir ci/fixtures 2> /dev/null \
     | diff - ci/expected_serve_smoke.jsonl
 
+echo "==> serve smoke at --threads 2 (same pinned bytes)"
+# The same batch with each job's three optimizers on separate threads:
+# every optimizer scores and applies candidates in one in-order loop, so
+# no report byte may depend on `threads` (see PipelineConfig::threads).
+timeout 120 ./target/release/rapids-serve --fast --workers 2 --threads 2 --sort \
+    alu2 c432 c499 --blif-dir ci/fixtures 2> /dev/null \
+    | diff - ci/expected_serve_smoke.jsonl
+
 echo "==> fault-injection smoke (panic + transient I/O + deadline, pinned output)"
 # A three-job batch under a deterministic fault plan: one job panics, one
 # survives a transient read fault through the retry, and one is hung by an

@@ -208,11 +208,13 @@ pub struct PipelineConfig {
     pub safety_net: SafetyNet,
     /// Number of random vectors for the simulation safety net.
     pub verification_vectors: usize,
-    /// Worker threads (1 = fully sequential).  Forwarded to the optimizer's
-    /// candidate scoring, and [`Pipeline::compare_optimizers`] additionally
-    /// runs the three optimizer kinds concurrently when `threads > 1`.
-    /// What every thread count guarantees is stated once in
-    /// [`rapids_sizing::parallel`] — the `threads` determinism contract.
+    /// Worker threads (1 = fully sequential).  With `threads > 1`,
+    /// [`Pipeline::compare_optimizers`] runs its three optimizer kinds
+    /// concurrently, each on its own clone of the prepared design, so every
+    /// report is bit-identical for any value; each optimizer itself scores
+    /// and applies candidates in one in-order loop.  `table1 --threads`
+    /// shards designs instead and returns them in input order, so its
+    /// reports are bit-identical for any value too.
     pub threads: usize,
 }
 
@@ -620,11 +622,7 @@ impl Pipeline {
         cancel: &CancelToken,
     ) -> Result<PipelineReport, PipelineError> {
         let mut working = design.network.clone();
-        let optimizer_config = OptimizerConfig {
-            kind,
-            threads: self.config.optimizer.threads.max(self.config.threads),
-            ..self.config.optimizer.clone()
-        };
+        let optimizer_config = OptimizerConfig { kind, ..self.config.optimizer.clone() };
         let rows = if self.config.legalize.nudge_es { design.rows.as_ref() } else { None };
         let optimize_span = rapids_obs::span("stage.optimize");
         let outcome =

@@ -25,9 +25,7 @@
 //!
 //! Everything is sequential and deterministic: the legalizer and the
 //! refinement pass run once per design in the pipeline's `legalize` stage,
-//! and the nudger's accept-time-only use by the optimizer keeps decisions
-//! thread-count invariant (see `rapids_sizing::parallel`, the `threads`
-//! determinism contract).
+//! and the optimizer nudges only accepted inverters, in acceptance order.
 //!
 //! ```
 //! use rapids_celllib::Library;

@@ -9,9 +9,8 @@
 //!
 //! All queries are deterministic: rows and gaps are visited in a fixed
 //! order and ties are broken toward the nearer row, then the lower row,
-//! then the smaller site, so two runs (and any thread count, since the
-//! optimizer only consults the model on the main thread at accept time)
-//! agree exactly.
+//! then the smaller site, so two runs agree exactly (the optimizer consults
+//! the model only when it accepts an inverter, in acceptance order).
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -41,11 +41,9 @@ pub fn netlist_fingerprint(network: &Network) -> u64 {
 ///
 /// Hashes the `Debug` rendering of the [`PipelineConfig`], which covers
 /// every knob of every stage (placer, timing model, optimizer, seed,
-/// mapping bound, verification).  `threads` is deliberately *included*:
-/// decisions are thread-count invariant, but rewiring float sums may move
-/// in the final ulp across thread counts (see the determinism contract in
-/// `rapids_sizing::parallel`), and the cache promises byte-identical
-/// replays.
+/// mapping bound, verification), `threads` included.  No report byte
+/// depends on `threads`; it only decides whether a job's three optimizers
+/// run concurrently.
 pub fn config_fingerprint(config: &PipelineConfig) -> u64 {
     fnv1a(format!("{config:?}").as_bytes())
 }

@@ -213,11 +213,9 @@ impl Job {
         // `legalize` knob lives outside both and is untouched).
         if fast == Some(true) {
             let es = config.optimizer.include_inverting_swaps;
-            let threads = config.optimizer.threads;
             config.placer = PlacerConfig::fast();
             config.optimizer = OptimizerConfig {
                 include_inverting_swaps: es,
-                threads,
                 ..OptimizerConfig::fast(config.optimizer.kind)
             };
         }

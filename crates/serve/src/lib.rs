@@ -32,8 +32,9 @@
 //! Determinism: a job's report depends only on its netlist and config —
 //! never on the worker count or completion order — so batch output is
 //! byte-identical across worker counts once canonically sorted (see
-//! `docs/serving.md`, and the `threads` determinism contract stated in the
-//! `rapids_sizing::parallel` module docs).
+//! `docs/serving.md`).  No report byte depends on `threads` either: it only
+//! runs a job's three optimizers concurrently (see
+//! [`rapids_flow::PipelineConfig::threads`]).
 //!
 //! ```
 //! use rapids_serve::{BatchServer, Engine, Job, JobSource};

@@ -33,7 +33,6 @@
 
 pub mod cancel;
 pub mod neighborhood;
-pub mod parallel;
 pub mod sizer;
 
 pub use cancel::CancelToken;
@@ -41,5 +40,4 @@ pub use neighborhood::{
     estimated_arrival_cached, estimated_arrival_ns, fanin_min_slack_ns, neighborhood_eval,
     neighborhood_slack_ns, NeighborhoodEval,
 };
-pub use parallel::contiguous_disjoint_batches;
 pub use sizer::{resized_since, size_classes, GateSizer, SizerConfig, SizingOutcome};

@@ -4,10 +4,9 @@
 //! candidates against the frozen report of the last refresh, and the refresh
 //! between phases re-times only the fan-in/fan-out cones of the gates that
 //! actually changed.  Candidate probes run through a [`NetCache`] so the
-//! star geometry and Elmore delays of unchanged nets are never recomputed,
-//! and phases can score batches of region-disjoint gates on worker threads
-//! (`SizerConfig::threads`) with bit-identical results to the sequential
-//! visit.
+//! star geometry and Elmore delays of unchanged nets are never recomputed.
+//! Each phase visits its gates in order and applies a gate's best drive
+//! before scoring the next, so every decision sees the earlier ones.
 
 use rapids_celllib::Library;
 use rapids_netlist::{GateId, Network};
@@ -16,7 +15,6 @@ use rapids_timing::{IncrementalSta, NetCache, TimingConfig, TimingReport};
 
 use crate::cancel::CancelToken;
 use crate::neighborhood::neighborhood_eval;
-use crate::parallel::visit_in_disjoint_batches;
 
 /// Gates whose slack is within this margin of the worst slack are critical
 /// and visited by the min-slack phase; the relaxation phase visits the rest,
@@ -32,23 +30,18 @@ const CONVERGENCE_THRESHOLD_NS: f64 = 1e-4;
 pub struct SizerConfig {
     /// Maximum number of (min-slack + relaxation) passes.
     pub max_passes: usize,
-    /// Worker threads for candidate scoring (1 = fully sequential).  Any
-    /// thread count takes identical decisions and sizing is bit-exact; the
-    /// normative statement lives in [`crate::parallel`] (the `threads`
-    /// determinism contract).
-    pub threads: usize,
 }
 
 impl Default for SizerConfig {
     fn default() -> Self {
-        SizerConfig { max_passes: 6, threads: 1 }
+        SizerConfig { max_passes: 6 }
     }
 }
 
 impl SizerConfig {
     /// A reduced-effort configuration for tests and smoke benchmarks.
     pub fn fast() -> Self {
-        SizerConfig { max_passes: 2, ..Self::default() }
+        SizerConfig { max_passes: 2 }
     }
 }
 
@@ -124,13 +117,8 @@ impl GateSizer {
         placement: &Placement,
         timing: &TimingConfig,
     ) -> SizingOutcome {
-        // The shared batch visitor threads a mutable placement through so
-        // that inverting-swap probes (in the rewiring optimizer) can host
-        // inserted inverters; sizing never touches it, so a private copy
-        // keeps the caller's placement provably frozen.
-        let mut placement = placement.clone();
-        let mut inc = IncrementalSta::new(network, library, &placement, timing);
-        self.optimize_with(network, library, &mut placement, timing, &mut inc)
+        let mut inc = IncrementalSta::new(network, library, placement, timing);
+        self.optimize_with(network, library, placement, timing, &mut inc)
     }
 
     /// Runs sizing against a caller-owned timing engine, leaving `inc`
@@ -147,7 +135,7 @@ impl GateSizer {
         &self,
         network: &mut Network,
         library: &Library,
-        placement: &mut Placement,
+        placement: &Placement,
         timing: &TimingConfig,
         inc: &mut IncrementalSta,
     ) -> SizingOutcome {
@@ -228,7 +216,7 @@ impl GateSizer {
         &self,
         network: &mut Network,
         library: &Library,
-        placement: &mut Placement,
+        placement: &Placement,
         timing: &TimingConfig,
         report: &TimingReport,
         cache: &mut NetCache,
@@ -253,7 +241,7 @@ impl GateSizer {
         &self,
         network: &mut Network,
         library: &Library,
-        placement: &mut Placement,
+        placement: &Placement,
         timing: &TimingConfig,
         report: &TimingReport,
         cache: &mut NetCache,
@@ -268,15 +256,13 @@ impl GateSizer {
     }
 
     /// Decides and applies the best drive strength for every gate in `gates`
-    /// (in order).  With `threads > 1`, contiguous runs of region-disjoint
-    /// gates are scored concurrently on cloned networks and applied in the
-    /// original order — bit-identical to the sequential visit.
+    /// (in order), so each decision is scored against the earlier ones.
     #[allow(clippy::too_many_arguments)]
     fn visit_gates(
         &self,
         network: &mut Network,
         library: &Library,
-        placement: &mut Placement,
+        placement: &Placement,
         timing: &TimingConfig,
         report: &TimingReport,
         cache: &mut NetCache,
@@ -285,30 +271,21 @@ impl GateSizer {
         worst_slack: f64,
     ) -> SizeJournal {
         let mut journal = SizeJournal::new();
-        visit_in_disjoint_batches(
-            network,
-            placement,
-            cache,
-            self.config.threads,
-            gates,
-            |network, &g| sizing_region(network, g),
-            |network, placement, cache, &g| {
-                decide_best_drive(
-                    network,
-                    library,
-                    placement,
-                    timing,
-                    report,
-                    cache,
-                    g,
-                    relaxation,
-                    worst_slack,
-                )
-            },
-            |network, _placement, cache, &g, best| {
-                apply_class(network, cache, &mut journal, g, best)
-            },
-        );
+        for &g in gates {
+            if let Some(best) = decide_best_drive(
+                network,
+                library,
+                placement,
+                timing,
+                report,
+                cache,
+                g,
+                relaxation,
+                worst_slack,
+            ) {
+                apply_class(network, cache, &mut journal, g, best);
+            }
+        }
         journal
     }
 }
@@ -448,22 +425,6 @@ pub fn resized_since(network: &Network, before: &[u8]) -> usize {
         .count()
 }
 
-/// The gates whose timing a sizing decision at `gate` can read or perturb:
-/// the gate, its fan-in drivers, and the sinks of all of those nets.  Two
-/// gates with disjoint regions can be scored in either order (or
-/// concurrently) with identical results.
-fn sizing_region(network: &Network, gate: GateId) -> Vec<GateId> {
-    let mut region = vec![gate];
-    region.extend_from_slice(network.fanins(gate));
-    region.extend_from_slice(network.fanouts(gate));
-    for &f in network.fanins(gate) {
-        region.extend_from_slice(network.fanouts(f));
-    }
-    region.sort_unstable();
-    region.dedup();
-    region
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,25 +493,6 @@ mod tests {
             n.gate(g3).size_class > 0,
             "the gate driving 7 sinks should not stay at minimum size"
         );
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let lib = Library::standard_035um();
-        let reference = chain_with_fanout();
-        let p = place(&reference, &lib, &PlacerConfig::fast(), 3);
-        let run = |threads: usize| {
-            let mut n = reference.clone();
-            let config = SizerConfig { threads, ..SizerConfig::default() };
-            let outcome =
-                GateSizer::new(config).optimize(&mut n, &lib, &p, &TimingConfig::default());
-            let classes: Vec<u8> = n.iter_live().map(|g| n.gate(g).size_class).collect();
-            (outcome, classes)
-        };
-        let (o1, c1) = run(1);
-        let (o8, c8) = run(8);
-        assert_eq!(o1, o8, "outcomes must be identical across thread counts");
-        assert_eq!(c1, c8, "final size classes must be identical across thread counts");
     }
 
     #[test]

@@ -64,10 +64,11 @@ pub struct IncrementalStats {
 }
 
 /// Handles into the process-global metrics registry mirroring
-/// [`IncrementalStats`].  The per-engine struct stays the public API (it
-/// isolates one engine's work, which `merged` and the bench JSON rely
-/// on); the global counters aggregate every engine in the process for
-/// the `rapids-obs` snapshot.
+/// [`IncrementalStats`].  The global counters aggregate every engine in
+/// the process for the `rapids-obs` snapshot, so they cannot tell
+/// concurrent engines apart; the per-engine struct isolates one engine's
+/// work, which `perfbench` reads as `OptimizationOutcome::sta`.  Merging
+/// the two waits on a per-job metrics scope (ROADMAP 6(c)).
 #[derive(Debug, Clone)]
 struct TimingCounters {
     full_refreshes: rapids_obs::Counter,

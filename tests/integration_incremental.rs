@@ -1,13 +1,13 @@
 //! Seeded property tests for the incremental timing engine and the
-//! thread-count determinism of the optimizers.
+//! thread-count determinism of the flow.
 //!
 //! The first family drives [`IncrementalSta::update`] through random
 //! swap/resize sequences on one circuit per suite generator family
 //! (ALU, multiplier, error-correcting, random control logic) and asserts —
 //! bit for bit — that the dirty-cone state matches a from-scratch
 //! `Sta::analyze` after every step.  The second family asserts that
-//! `threads = 1` and `threads = 8` produce identical reports through the
-//! whole pipeline.
+//! `threads = 1` and `threads = 8` produce bit-identical reports through
+//! the whole pipeline.
 
 use rapids_celllib::{DriveStrength, Library};
 use rapids_circuits::generators::adder::ripple_carry_adder;
@@ -19,7 +19,8 @@ use rapids_circuits::map_to_library;
 use rapids_core::supergate::extract_supergates;
 use rapids_core::swap::{apply_swap, undo_swap};
 use rapids_core::symmetry::swap_candidates_in;
-use rapids_flow::{CircuitSource, Pipeline, PipelineConfig};
+use rapids_flow::legalize::LegalizeConfig;
+use rapids_flow::{CircuitSource, Pipeline, PipelineConfig, PipelineReport};
 use rapids_netlist::{GateId, Network};
 use rapids_placement::{place, Placement, PlacerConfig};
 use rapids_timing::{IncrementalSta, Sta, TimingConfig};
@@ -135,40 +136,59 @@ fn incremental_update_matches_full_sta_after_random_swap_sequences() {
     }
 }
 
+/// Everything an optimizer run reports or leaves behind, floats as raw bits.
+#[derive(Debug, PartialEq)]
+struct ReportBits {
+    final_delay: u64,
+    final_area: u64,
+    swaps: usize,
+    es_swaps: usize,
+    resized: usize,
+    hosted_inverters: Vec<(GateId, u64, u64)>,
+    wiring: Vec<Vec<GateId>>,
+}
+
+fn report_bits(report: &PipelineReport) -> ReportBits {
+    let outcome = &report.outcome;
+    ReportBits {
+        final_delay: outcome.final_delay_ns.to_bits(),
+        final_area: outcome.final_area_um2.to_bits(),
+        swaps: outcome.swaps_applied,
+        es_swaps: outcome.inverting_swaps_applied,
+        resized: outcome.gates_resized,
+        hosted_inverters: outcome
+            .hosted_inverters
+            .iter()
+            .map(|&(g, at)| (g, at.x_um.to_bits(), at.y_um.to_bits()))
+            .collect(),
+        wiring: report.network.iter_live().map(|g| report.network.fanins(g).to_vec()).collect(),
+    }
+}
+
+/// `threads` only runs a comparison's three optimizer kinds on separate
+/// threads, each on its own clone of the prepared design, so every kind's
+/// report is bit-identical for any value.  The second config legalizes the
+/// placement and enables ES swaps, so nudged inverter coordinates are
+/// compared too.
 #[test]
 fn pipeline_reports_are_thread_count_invariant() {
-    let run = |threads: usize| {
-        let pipeline = Pipeline::new(PipelineConfig { threads, ..PipelineConfig::fast() });
-        let comparison = pipeline.compare_optimizers(CircuitSource::suite("c432")).unwrap();
-        let fingerprint = |report: &rapids_flow::PipelineReport| {
-            (
-                report.outcome.final_delay_ns,
-                report.outcome.final_area_um2,
-                report.outcome.swaps_applied,
-                report.outcome.gates_resized,
-            )
+    let mut legalized_es = PipelineConfig::fast();
+    legalized_es.legalize = LegalizeConfig::enabled();
+    legalized_es.optimizer.include_inverting_swaps = true;
+    for (label, base) in [("fast", PipelineConfig::fast()), ("legalized ES", legalized_es)] {
+        let run = |threads: usize| {
+            let pipeline = Pipeline::new(PipelineConfig { threads, ..base.clone() });
+            let comparison = pipeline.compare_optimizers(CircuitSource::suite("c432")).unwrap();
+            [&comparison.rewiring, &comparison.sizing, &comparison.combined].map(report_bits)
         };
-        (
-            fingerprint(&comparison.rewiring),
-            fingerprint(&comparison.sizing),
-            fingerprint(&comparison.combined),
-        )
-    };
-    let (seq_gsg, seq_gs, seq_combined) = run(1);
-    let (par_gsg, par_gs, par_combined) = run(8);
-    // Sizing decisions leave no trace in the network beyond the chosen
-    // classes, so GS is bit-exact across thread counts.
-    assert_eq!(seq_gs, par_gs, "GS must be bit-identical across thread counts");
-    // Rewiring candidate probes permute fan-out list order on the main
-    // network in sequential mode but not on worker clones, so after a
-    // rolled-back pass the Elmore sums can differ in the final ulp even
-    // though every accepted decision is identical.  Assert decision-level
-    // equality and delay/area agreement to float noise.
-    for (seq, par) in [(seq_gsg, par_gsg), (seq_combined, par_combined)] {
-        assert_eq!(seq.2, par.2, "swap decisions must match across thread counts");
-        assert_eq!(seq.3, par.3, "resize decisions must match across thread counts");
-        assert!((seq.0 - par.0).abs() < 1e-9, "delay drift beyond noise: {} vs {}", seq.0, par.0);
-        assert!((seq.1 - par.1).abs() < 1e-6, "area drift beyond noise: {} vs {}", seq.1, par.1);
+        let one = run(1);
+        let eight = run(8);
+        for ((kind, a), b) in ["gsg", "GS", "gsg+GS"].iter().zip(&one).zip(&eight) {
+            assert_eq!(a, b, "{label} {kind}: threads 1 and 8 must report identical bits");
+        }
+        if base.optimizer.include_inverting_swaps {
+            assert!(one[0].es_swaps > 0, "{label}: c432 must accept ES swaps");
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Integration coverage for the `rapids-obs` observability layer: the
-//! determinism contract (worker- and thread-count invariance of the
-//! deterministic counters, byte-identical reports with tracing on),
+//! determinism contract (worker-count invariance of the deterministic
+//! counters, byte-identical reports with tracing on),
 //! trace-event well-formedness and per-thread nesting on a real batch,
 //! and the zero-overhead guarantee of a disabled tracer.
 
@@ -70,32 +70,6 @@ fn deterministic_counters_are_worker_count_invariant() {
     let pooled = run(8);
     assert_eq!(single, pooled, "worker count must not change any deterministic counter or line");
     assert_eq!(single.0, 3, "three distinct designs, three optimizer runs");
-}
-
-/// The STA retime counters reported per run (`outcome.sta`) are invariant
-/// under the within-level parallelism thread count.
-#[test]
-fn sta_retime_counters_are_thread_count_invariant() {
-    let _guard = obs_lock();
-    rapids_obs::trace::disable();
-
-    let run = |threads: usize| {
-        let mut config = PipelineConfig::fast();
-        config.threads = threads;
-        let pipeline = Pipeline::new(config);
-        let design = pipeline.prepare(CircuitSource::suite("c432")).unwrap();
-        let report = pipeline.optimize(&design, rapids_core::OptimizerKind::Combined).unwrap();
-        (
-            report.outcome.sta.full_refreshes,
-            report.outcome.sta.incremental_updates,
-            report.outcome.sta.gates_retimed,
-        )
-    };
-
-    let single = run(1);
-    let parallel = run(8);
-    assert_eq!(single, parallel, "retime work is deterministic, threads only change wall-clock");
-    assert!(single.2 > 0, "a real run retimes gates");
 }
 
 /// On a three-design batch the recorded spans are well-formed (the
