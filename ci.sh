@@ -66,8 +66,10 @@ done
 echo "==> perfbench unit tests (the benchmark harness builds against the crates' public API)"
 # perfbench/ is a package of its own outside the workspace, so no other
 # step compiles it: this catches a crate change that breaks the benchmark
-# build, including the forwards kept only for it.
-cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+# build, including the forwards kept only for it.  --locked fails a crate
+# change that would rewrite perfbench/Cargo.lock instead of letting the
+# build edit it: only a change to the benchmark itself may touch that file.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml -q
 
 echo "==> cargo test -q"
 cargo test -q
@@ -77,12 +79,14 @@ echo "==> cargo doc (no deps, warnings are errors)"
 # broken intra-doc links or malformed examples fail the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> STA kernel smoke (levelized vs scalar, bit-identity + speed gate)"
-# Times the levelized struct-of-arrays kernel against the scalar reference
-# analyzer on the largest suite designs, asserting bit-identical reports and
-# that the kernel is not slower than 1.5x the reference (a generous margin:
-# the point is catching a kernel that silently fell off the fast path, not
-# benchmarking).  See docs/benchmarking.md, "The sta_kernel micro-benchmark".
+echo "==> STA kernel smoke (full analysis vs reference, bit-identity + speed gate)"
+# Times the full analysis (Sta::analyze: one star per net, swept over the
+# level-major schedule) against the reference analyzer (two stars per net)
+# on the largest suite designs, asserting bit-identical reports and that
+# the full analysis is not slower than 1.5x the reference (a generous
+# margin: the point is catching a full sweep that silently lost its
+# one-star parasitics, not benchmarking).  See docs/benchmarking.md, "The
+# sta_kernel micro-benchmark".
 timeout 120 ./target/release/sta_kernel --smoke > /dev/null
 
 echo "==> SAT solver + CEC micro-smoke (pigeonhole UNSAT, planted SAT, miter refutation)"

@@ -1,12 +1,15 @@
 //! STA kernel micro-benchmark: times full-sweep and dirty-cone update in
-//! isolation on the largest suite designs, so kernel regressions are
+//! isolation on the largest suite designs, so timing regressions are
 //! visible without a whole-suite `table1` run.
 //!
 //! For each design the harness times:
 //!
-//! * `scalar` — the reference analyzer (`Sta::analyze_reference`): per-gate
-//!   pointer-chasing sweeps, exactly the pre-kernel engine;
-//! * `levelized` — the batched struct-of-arrays kernel (`Sta::analyze`);
+//! * `scalar` — the reference analyzer (`Sta::analyze_reference`): the
+//!   shared per-gate kernels swept over a topological order, on parasitics
+//!   built with two stars per net;
+//! * `levelized` — the full analysis (`Sta::analyze`): the same kernels
+//!   swept over the level-major schedule, on parasitics built with one star
+//!   per net;
 //! * `update` — dirty-cone updates of an [`IncrementalSta`] under a seeded
 //!   stream of single-gate resizes.
 //!
@@ -15,10 +18,10 @@
 //!
 //! Usage: `sta_kernel [--smoke] [--iters N] [--designs N]`
 //!
-//! `--smoke` reduces iteration counts and *asserts* that the levelized full
-//! sweep is not slower than the scalar reference on the largest design
-//! (with a generous 1.5× margin to absorb machine noise); CI runs this
-//! mode.  Exit status 1 on assertion failure.
+//! `--smoke` reduces iteration counts and *asserts* that the full analysis
+//! is not slower than the reference on the largest design (with a generous
+//! 1.5× margin to absorb machine noise); CI runs this mode.  Exit status 1
+//! on assertion failure.
 
 use std::time::Instant;
 

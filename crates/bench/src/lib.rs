@@ -8,7 +8,7 @@
 //! for the printed table (including the supergate coverage, `L` and
 //! redundancy columns) and a [`rapids_serve::DesignQor`] for the
 //! `--qor-out` / `--check` snapshot.  The `sta_kernel` binary times the
-//! levelized STA kernel against the scalar reference analyzer.
+//! full STA (`Sta::analyze`) against the reference analyzer.
 
 pub mod table1;
 

@@ -3,11 +3,11 @@
 //! Supergate rewiring is cast as a gate-sizing problem on the supergate
 //! netlist: for every non-trivial supergate the set of symmetric pin
 //! permutations plays the role of a set of alternative library
-//! implementations, and a Coudert-style iteration — a **min-slack phase**
-//! that visits critical supergates and takes the best swap, alternating with
-//! a **relaxation phase** over the remaining supergates — drives the
-//! optimization.  Three optimizers are provided, matching the paper's
-//! evaluation:
+//! implementations, and a Coudert-style iteration drives the optimization.
+//! Each pass visits the supergates worst slack first and takes the best
+//! swap of each, so the **min-slack phase** over the critical supergates
+//! leads and the **relaxation phase** over the remaining ones follows.
+//! Three optimizers are provided, matching the paper's evaluation:
 //!
 //! * [`OptimizerKind::Rewiring`] (`gsg`)   — supergate-based rewiring only;
 //! * [`OptimizerKind::Sizing`]   (`GS`)    — classical gate sizing only;
@@ -84,8 +84,7 @@ impl std::fmt::Display for OptimizerKind {
     }
 }
 
-/// Gates (and supergates) within this margin of the worst slack count as
-/// critical, ns.
+/// Gates within this margin of the worst slack count as critical, ns.
 const CRITICAL_MARGIN_NS: f64 = 0.2;
 
 /// Configuration of the post-placement optimizer.
@@ -427,11 +426,11 @@ impl Optimizer {
             }
 
             let report = inc.report();
-            let worst_slack = report.worst_slack_ns();
 
-            // Min-slack phase: supergates touching critical gates, worst
-            // first; then the relaxation phase over the remaining non-trivial
-            // supergates, aiming at total-slack (wire-length) recovery.
+            // Worst slack first: the critical supergates (the min-slack
+            // phase) form a prefix of the order, and the relaxation phase
+            // over the remaining non-trivial supergates, aiming at
+            // total-slack (wire-length) recovery, follows in the same visit.
             let mut ordered: Vec<&Supergate> = extraction
                 .supergates()
                 .iter()
@@ -444,17 +443,6 @@ impl Optimizer {
             let mut index: Vec<usize> = (0..ordered.len()).collect();
             index.sort_by(|&a, &b| slack_of[a].total_cmp(&slack_of[b]));
             ordered = index.iter().map(|&i| ordered[i]).collect();
-            let critical_flag: Vec<bool> =
-                index.iter().map(|&i| slack_of[i] <= worst_slack + CRITICAL_MARGIN_NS).collect();
-
-            let critical: Vec<&Supergate> =
-                ordered.iter().zip(&critical_flag).filter(|(_, &c)| c).map(|(sg, _)| *sg).collect();
-            let relaxed: Vec<&Supergate> = ordered
-                .iter()
-                .zip(&critical_flag)
-                .filter(|(_, &c)| !c)
-                .map(|(sg, _)| *sg)
-                .collect();
 
             let mut journal: Vec<AppliedSwap> = Vec::new();
             self.visit_supergates(
@@ -465,18 +453,7 @@ impl Optimizer {
                 timing,
                 report,
                 cache,
-                &critical,
-                &mut journal,
-            );
-            self.visit_supergates(
-                network,
-                library,
-                placement,
-                &mut rows,
-                timing,
-                report,
-                cache,
-                &relaxed,
+                &ordered,
                 &mut journal,
             );
             let pass_swaps = journal.len();

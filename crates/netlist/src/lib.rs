@@ -13,8 +13,7 @@
 //!
 //! The crate also provides:
 //!
-//! * topological ordering, levelization and transitive fan-in/fan-out
-//!   queries ([`topo`]),
+//! * topological ordering and levelization ([`topo`]),
 //! * a small BLIF-like text format for examples and round-tripping ([`blif`]),
 //! * structural statistics used by the experiment reports ([`stats`]),
 //! * an ergonomic [`builder::NetworkBuilder`] for hand-built figures from the
@@ -38,7 +37,6 @@
 pub mod blif;
 pub mod builder;
 pub mod error;
-pub mod flat;
 pub mod gate;
 pub mod network;
 pub mod stats;
@@ -46,7 +44,6 @@ pub mod topo;
 
 pub use builder::NetworkBuilder;
 pub use error::NetlistError;
-pub use flat::FlatAdjacency;
 pub use gate::{BaseFunction, Gate, GateId, GateType, Logic, PinRef};
 pub use network::Network;
 pub use stats::NetworkStats;

@@ -195,11 +195,6 @@ impl Network {
         self.topo_hint = Some(hint);
     }
 
-    /// Drops the recorded topological hint.
-    pub fn clear_topo_hint(&mut self) {
-        self.topo_hint = None;
-    }
-
     /// O(1) acyclicity proof for a prospective edge `driver → sink`: `true`
     /// when the active hint places the driver strictly before the sink, in
     /// which case the edge cannot close a cycle (reachability implies order).
@@ -588,28 +583,6 @@ impl Network {
         true
     }
 
-    /// Removes dangling gates repeatedly until a fixed point is reached
-    /// (dead-logic sweep after redundancy removal).  Returns the number of
-    /// gates removed.
-    pub fn sweep_dangling(&mut self) -> usize {
-        let mut removed = 0;
-        loop {
-            let candidates: Vec<GateId> = self
-                .iter_logic()
-                .filter(|&g| self.fanouts[g.index()].is_empty() && !self.drives_output(g))
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            for g in candidates {
-                if self.remove_if_dangling(g) {
-                    removed += 1;
-                }
-            }
-        }
-        removed
-    }
-
     /// Bypasses a buffer/inverter pair or redirects all sinks of `gate` to
     /// `replacement`, then tomb-stones `gate` if it became dangling.
     /// Primary-output ports driven by `gate` are redirected as well.
@@ -839,11 +812,11 @@ mod tests {
     fn remove_and_sweep() {
         let (mut n, a, b, _c, g1) = small();
         let f = n.find_by_name("f").unwrap();
-        // Disconnect g1 from f, then g1 is dangling and can be swept.
+        // Disconnect g1 from f, then g1 is dangling and can be removed;
+        // its drivers stay live.
         n.replace_pin_driver(PinRef::new(f, 0), a).unwrap();
         assert!(n.fanouts(g1).is_empty());
-        let removed = n.sweep_dangling();
-        assert_eq!(removed, 1);
+        assert!(n.remove_if_dangling(g1));
         assert!(!n.is_live(g1));
         assert!(n.is_live(b));
         assert!(n.check_consistency().is_ok());
@@ -970,10 +943,10 @@ mod tests {
         assert_eq!(n.fanout_degree(h), 3);
         assert_port_counts_match_scan(&n);
         // Free f's pin from h and move h's ports to f: h dangles and is
-        // swept, f now drives three ports.
+        // removed, f now drives three ports.
         n.replace_pin_driver(PinRef::new(f, 0), a).unwrap();
         n.redirect_output_ports(h, f).unwrap();
-        assert_eq!(n.sweep_dangling(), 1);
+        assert!(n.remove_if_dangling(h));
         assert!(!n.is_live(h));
         assert_port_counts_match_scan(&n);
         // h was the last slot: popping it leaves every count in place.

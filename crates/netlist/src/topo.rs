@@ -68,8 +68,8 @@ pub fn levels(network: &Network) -> Vec<usize> {
 }
 
 /// [`levels`] over an already-computed topological order, so callers that
-/// cache the order (the incremental and levelized timing engines) do not pay
-/// for a second Kahn sweep.  `order` must be a valid topological order of
+/// already hold the order (the timing crate's level-major schedule) do not
+/// pay for a second Kahn sweep.  `order` must be a valid topological order of
 /// the network's live gates; with a stale or partial order the result is
 /// unspecified (but the function does not panic).
 pub fn levels_from_order(network: &Network, order: &[GateId]) -> Vec<usize> {
@@ -86,42 +86,6 @@ pub fn levels_from_order(network: &Network, order: &[GateId]) -> Vec<usize> {
 pub fn depth(network: &Network) -> usize {
     let level = levels(network);
     network.outputs().iter().map(|o| level[o.driver.index()]).max().unwrap_or(0)
-}
-
-/// Gates in the transitive fan-in cone of `root`, including `root` itself.
-pub fn transitive_fanin(network: &Network, root: GateId) -> Vec<GateId> {
-    let mut seen = vec![false; network.gate_count()];
-    let mut stack = vec![root];
-    let mut cone = Vec::new();
-    seen[root.index()] = true;
-    while let Some(g) = stack.pop() {
-        cone.push(g);
-        for &f in network.fanins(g) {
-            if !seen[f.index()] {
-                seen[f.index()] = true;
-                stack.push(f);
-            }
-        }
-    }
-    cone
-}
-
-/// Gates in the transitive fan-out cone of `root`, including `root` itself.
-pub fn transitive_fanout(network: &Network, root: GateId) -> Vec<GateId> {
-    let mut seen = vec![false; network.gate_count()];
-    let mut stack = vec![root];
-    let mut cone = Vec::new();
-    seen[root.index()] = true;
-    while let Some(g) = stack.pop() {
-        cone.push(g);
-        for &s in network.fanouts(g) {
-            if !seen[s.index()] {
-                seen[s.index()] = true;
-                stack.push(s);
-            }
-        }
-    }
-    cone
 }
 
 #[cfg(test)]
@@ -200,17 +164,6 @@ mod tests {
         let (n, _) = chain();
         let order = topological_order(&n).unwrap();
         assert_eq!(levels_from_order(&n, &order), levels(&n));
-    }
-
-    #[test]
-    fn cones() {
-        let (n, ids) = chain();
-        let ti = transitive_fanin(&n, *ids.last().unwrap());
-        assert_eq!(ti.len(), ids.len());
-        let tf = transitive_fanout(&n, ids[0]);
-        assert_eq!(tf.len(), ids.len());
-        let mid = transitive_fanin(&n, ids[2]);
-        assert_eq!(mid.len(), 3);
     }
 
     #[test]

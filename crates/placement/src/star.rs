@@ -39,20 +39,6 @@ impl StarNet {
     pub fn total_length_um(&self) -> f64 {
         self.trunk.length_um + self.branches.iter().map(|b| b.length_um).sum::<f64>()
     }
-
-    /// Length of wire between the source and a given sink (trunk + that
-    /// sink's branch), µm.  Returns `None` if the sink is not on this net.
-    pub fn source_to_sink_length_um(&self, sink: GateId) -> Option<f64> {
-        self.branches
-            .iter()
-            .find(|b| b.sink == Some(sink))
-            .map(|b| self.trunk.length_um + b.length_um)
-    }
-
-    /// Number of sinks.
-    pub fn sink_count(&self) -> usize {
-        self.branches.len()
-    }
 }
 
 /// Builds the star decomposition of the net driven by `driver` under the
@@ -90,11 +76,6 @@ pub fn net_star(network: &Network, placement: &Placement, driver: GateId) -> Sta
     StarNet { driver, center, trunk, branches }
 }
 
-/// Builds star decompositions for every live gate's output net.
-pub fn all_stars(network: &Network, placement: &Placement) -> Vec<StarNet> {
-    network.iter_live().map(|g| net_star(network, placement, g)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +108,7 @@ mod tests {
         let star = net_star(&n, &p, a);
         assert!((star.center.x_um - 10.0).abs() < 1e-9);
         assert!((star.center.y_um - 10.0).abs() < 1e-9);
-        assert_eq!(star.sink_count(), 3);
+        assert_eq!(star.branches.len(), 3);
         // Trunk: (0,0) to (10,10) = 20; each branch = 20 or 20 or 20.
         assert!((star.trunk.length_um - 20.0).abs() < 1e-9);
         assert!((star.total_length_um() - 80.0).abs() < 1e-9);
@@ -138,13 +119,14 @@ mod tests {
         let (n, mut p) = placed_net();
         let a = n.find_by_name("a").unwrap();
         let s1 = n.find_by_name("s1").unwrap();
-        // Move s1 far away; its source-to-sink length must exceed the others.
+        // Move s1 far away; its branch must be longer than the others.
         p.set_position(s1, Point::new(90.0, 90.0));
         let star = net_star(&n, &p, a);
-        let d1 = star.source_to_sink_length_um(s1).unwrap();
-        let d2 = star.source_to_sink_length_um(n.find_by_name("s2").unwrap()).unwrap();
+        let branch_to = |sink: GateId| star.branches.iter().find(|b| b.sink == Some(sink));
+        let d1 = branch_to(s1).unwrap().length_um;
+        let d2 = branch_to(n.find_by_name("s2").unwrap()).unwrap().length_um;
         assert!(d1 > d2);
-        assert!(star.source_to_sink_length_um(a).is_none());
+        assert!(branch_to(a).is_none());
     }
 
     #[test]
@@ -152,14 +134,7 @@ mod tests {
         let (n, p) = placed_net();
         let s1 = n.find_by_name("s1").unwrap();
         let star = net_star(&n, &p, s1);
-        assert_eq!(star.sink_count(), 0);
+        assert!(star.branches.is_empty());
         assert_eq!(star.total_length_um(), 0.0);
-    }
-
-    #[test]
-    fn all_stars_covers_live_gates() {
-        let (n, p) = placed_net();
-        let stars = all_stars(&n, &p);
-        assert_eq!(stars.len(), n.live_gate_count());
     }
 }

@@ -719,6 +719,22 @@ mod tests {
         assert_eq!(e.cached_results(), 2);
     }
 
+    #[test]
+    fn thread_counts_share_one_cache_entry() {
+        // No report byte depends on `threads`, so a job that differs only
+        // in its thread count is served from the first one's entry.
+        let e = engine();
+        let spec = |threads: u32| format!(r#"{{"suite":"c432","fast":true,"threads":{threads}}}"#);
+        let one = Job::from_spec_line(&spec(1), e.base_config()).unwrap();
+        let two = Job::from_spec_line(&spec(2), e.base_config()).unwrap();
+        let first = e.execute(&one);
+        assert!(first.is_done() && !first.cached);
+        let second = e.execute(&two);
+        assert!(second.cached, "a thread count alone must not miss the cache");
+        assert_eq!(first.to_jsonl(), second.to_jsonl());
+        assert_eq!(e.optimizer_runs(), 1);
+    }
+
     use crate::faults::FaultAction;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {

@@ -41,11 +41,17 @@ pub fn netlist_fingerprint(network: &Network) -> u64 {
 ///
 /// Hashes the `Debug` rendering of the [`PipelineConfig`], which covers
 /// every knob of every stage (placer, timing model, optimizer, seed,
-/// mapping bound, verification), `threads` included.  No report byte
-/// depends on `threads`; it only decides whether a job's three optimizers
-/// run concurrently.
+/// mapping bound, verification), with `threads` and the hidden
+/// `optimizer.threads` both rendered as 1.  No report byte depends on
+/// either (`threads` only decides whether a job's three optimizers run
+/// concurrently, and nothing reads `optimizer.threads`), so jobs that
+/// differ only in thread counts share one cache entry, under the key a
+/// `threads = 1` job always had.
 pub fn config_fingerprint(config: &PipelineConfig) -> u64 {
-    fnv1a(format!("{config:?}").as_bytes())
+    let mut keyed = config.clone();
+    keyed.threads = 1;
+    keyed.optimizer.threads = 1;
+    fnv1a(format!("{keyed:?}").as_bytes())
 }
 
 #[cfg(test)]
@@ -86,11 +92,15 @@ mod tests {
         for mutated in [
             PipelineConfig { seed: base.seed + 1, ..base.clone() },
             PipelineConfig { map_max_fanin: 3, ..base.clone() },
-            PipelineConfig { threads: 2, ..base.clone() },
             PipelineConfig::fast(),
         ] {
             assert_ne!(config_fingerprint(&base), config_fingerprint(&mutated));
         }
+        // Thread counts change no report byte, so they change no key.
+        let mut threaded = PipelineConfig { threads: 2, ..base.clone() };
+        assert_eq!(config_fingerprint(&base), config_fingerprint(&threaded));
+        threaded.optimizer.threads = 2;
+        assert_eq!(config_fingerprint(&base), config_fingerprint(&threaded));
         let mut es = base.clone();
         es.optimizer.include_inverting_swaps = true;
         assert_ne!(config_fingerprint(&base), config_fingerprint(&es));

@@ -12,15 +12,16 @@
 //!   pin capacitance): the star geometry survives, only the delays are
 //!   recomputed.
 //!
-//! Values are computed by the same `net_star`/`net_delays`/`cell_delay`
+//! Values are computed by the same `net_star`/`net_delays`/`cell_delay_at`
 //! code as the uncached paths, so a cache hit is bit-identical to a fresh
 //! evaluation — callers only have to be complete about invalidation.
 
-use rapids_celllib::{cell_delay, CellDelay, Library};
+use rapids_celllib::{CellDelay, Library};
 use rapids_netlist::{GateId, Network};
 use rapids_placement::{net_star, Placement, StarNet};
 
 use crate::elmore::{net_delays, NetDelays};
+use crate::gate_delay::cell_delay_at;
 use crate::rc::TimingConfig;
 
 /// Per-driver memo of star decompositions and Elmore delays.
@@ -99,10 +100,7 @@ impl NetCache {
             return CellDelay::default();
         }
         let load = self.net_delays(network, library, placement, config, gate).total_load_pf;
-        match library.cell_for_gate(g) {
-            Some(cell) => cell_delay(cell, load),
-            None => CellDelay { rise_ns: 0.1, fall_ns: 0.1 },
-        }
+        cell_delay_at(library, g, load)
     }
 }
 

@@ -2,7 +2,7 @@
 //! model with the net load computed by the Elmore star model.
 
 use rapids_celllib::{cell_delay, CellDelay, Library};
-use rapids_netlist::{GateId, Network};
+use rapids_netlist::{Gate, GateId, Network};
 use rapids_placement::{net_star, Placement};
 
 use crate::elmore::net_delays;
@@ -34,11 +34,22 @@ pub fn gate_output_delay(
 ) -> CellDelay {
     let g = network.gate(gate);
     if g.gtype.is_source() {
+        // No cell to drive: skip the star its load would cost.
         return CellDelay::default();
     }
-    let load = gate_load_pf(network, library, placement, config, gate);
-    match library.cell_for_gate(g) {
-        Some(cell) => cell_delay(cell, load),
+    cell_delay_at(library, g, gate_load_pf(network, library, placement, config, gate))
+}
+
+/// Pin-to-pin delay of `gate` driving a net of `load_pf` total load: zero
+/// for a source, the library cell's load-dependent delay, or 0.1 ns for a
+/// gate the library has no cell for.  Every path of this crate that derives
+/// a cell delay goes through this one rule.
+pub(crate) fn cell_delay_at(library: &Library, gate: &Gate, load_pf: f64) -> CellDelay {
+    if gate.gtype.is_source() {
+        return CellDelay::default();
+    }
+    match library.cell_for_gate(gate) {
+        Some(cell) => cell_delay(cell, load_pf),
         None => CellDelay { rise_ns: 0.1, fall_ns: 0.1 },
     }
 }

@@ -4,11 +4,12 @@
 //! swaps and drive-strength changes — and between moves only the timing of
 //! the affected fan-out cone (arrivals) and fan-in cone (required times)
 //! changes.  [`IncrementalSta`] owns the arrival/required/parasitic arrays
-//! plus a compiled [`LevelizedView`] of the network (level-bucketed gate
-//! order and level map), and re-times exactly those cones:
+//! plus a compiled view of the network (its level-major schedule: gate
+//! order, level map and output mask), and re-times exactly those cones:
 //!
-//! * [`IncrementalSta::full`] recompiles the view and runs the batched
-//!   level sweeps of [`crate::levelized`] over the whole network;
+//! * [`IncrementalSta::full`] recompiles the view and sweeps the shared
+//!   per-gate kernels over the whole network, exactly as [`Sta::analyze`]
+//!   does;
 //! * [`IncrementalSta::update`] takes the set of gates whose connectivity or
 //!   drive strength changed, refreshes their parasitics, and drains a
 //!   **level-bucketed dirty frontier**: dirty gates land in per-level
@@ -30,17 +31,20 @@
 //! * **shrink** (a rolled-back pass popped trailing slots): full fallback;
 //! * **local rewires**: the cached *levels* stay usable as a schedule as
 //!   long as every touched gate still sees all its fan-ins at strictly
-//!   lower levels; a violation falls back to a full analysis.  The view's
-//!   flat edge arrays may be stale after a swap, so the dirty-cone kernels
-//!   deliberately read the live network adjacency, never the snapshot.
+//!   lower levels; a violation falls back to a full analysis.  The view
+//!   holds no edges: the kernels read the live network adjacency.
 //!
 //! Because the kernels and fold orders are shared, an update converges to
 //! **bit-identical** state to a from-scratch analysis of the same network —
 //! a property cheap enough to check on the fly: a seeded self-check mode
 //! re-runs the full *reference* analysis ([`Sta::analyze_reference`]) on a
 //! random subset of updates and asserts equality (see
-//! [`IncrementalSta::enable_self_check`]), so a defect in the levelized
-//! kernel cannot validate itself.
+//! [`IncrementalSta::enable_self_check`]).  The reference runs the same
+//! propagation kernels, which the direct-chaining tests of
+//! [`crate::sta`] pin against textbook per-edge arithmetic, but builds its
+//! parasitics independently (two stars per net), so a defect in the
+//! one-star parasitics or in the dirty-cone scheduling cannot validate
+//! itself.
 
 use rapids_celllib::Library;
 use rapids_netlist::{GateId, Network};
@@ -113,7 +117,7 @@ impl SelfCheck {
 pub struct IncrementalSta {
     config: TimingConfig,
     report: TimingReport,
-    /// Compiled level-bucketed view; see the module docs for when it is
+    /// Compiled level-major view; see the module docs for when it is
     /// recompiled versus reused.
     view: LevelizedView,
     stats: IncrementalStats,
@@ -129,12 +133,12 @@ impl IncrementalSta {
         placement: &Placement,
         config: &TimingConfig,
     ) -> Self {
-        let mut view =
+        let view =
             LevelizedView::build(network).expect("incremental timing requires an acyclic network");
         let counters = TimingCounters::from_global();
         let report = {
             let _span = rapids_obs::span("sta.full");
-            analyze_with_view(&mut view, network, library, placement, config)
+            analyze_with_view(&view, network, library, placement, config)
         };
         counters.full_refreshes.inc();
         IncrementalSta {
@@ -170,7 +174,7 @@ impl IncrementalSta {
     }
 
     /// Recompiles the view for the network's current structure (levels,
-    /// order, flat edges, output mask) without any parasitic work.
+    /// order, output mask) without any parasitic work.
     fn rebuild_view(&mut self, network: &Network) {
         self.view =
             LevelizedView::build(network).expect("incremental timing requires an acyclic network");
@@ -182,13 +186,13 @@ impl IncrementalSta {
     }
 
     /// Re-times the whole network from scratch (recompiling the view and
-    /// running the batched level sweeps).  Use after structural edits too
+    /// sweeping it).  Use after structural edits too
     /// large or too irregular to describe as a touched set (e.g. redirected
     /// output ports).
     pub fn full(&mut self, network: &Network, library: &Library, placement: &Placement) {
         let _span = rapids_obs::span("sta.full");
         self.rebuild_view(network);
-        self.report = analyze_with_view(&mut self.view, network, library, placement, &self.config);
+        self.report = analyze_with_view(&self.view, network, library, placement, &self.config);
         self.stats.full_refreshes += 1;
         self.counters.full_refreshes.inc();
     }
@@ -425,9 +429,12 @@ impl IncrementalSta {
     }
 
     /// Cross-checks the incremental state against a from-scratch analysis
-    /// by the *reference* engine ([`Sta::analyze_reference`]) — the one
-    /// implementation that shares no code with the levelized kernel, so a
-    /// kernel bug cannot validate itself.
+    /// by the *reference* engine ([`Sta::analyze_reference`]).  It shares
+    /// the propagation kernels, which the direct-chaining tests of
+    /// [`crate::sta`] pin, but builds its parasitics independently (two
+    /// stars per net) and sweeps a plain topological order, so a defect in
+    /// the one-star parasitics or the dirty-cone scheduling cannot validate
+    /// itself.
     ///
     /// # Errors
     ///

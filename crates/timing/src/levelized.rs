@@ -1,73 +1,59 @@
-//! Levelized struct-of-arrays STA kernel: batched per-level sweeps over a
-//! compiled view of the network.
+//! Levelized full analysis: the per-gate kernels of [`crate::sta`] swept
+//! over a compiled level-major schedule.
 //!
-//! [`Sta::analyze`](crate::Sta::analyze) historically walked the network
-//! gate by gate — every fan-in visit chased a `Vec<GateId>` allocation, every
-//! wire-delay lookup linearly scanned the driver's sink list, and the net
-//! parasitics of each gate were star-decomposed **twice** (once for the net
-//! delays, once more inside the cell-delay load query).  This module
-//! restructures the full analysis into per-level batched sweeps over flat
-//! arrays:
+//! * [`LevelizedView`] is the **schedule** of a network: the live gates in
+//!   level-major order (level = 1 + max fan-in level), the level of every
+//!   slot, and the output-driver mask.  It holds no edge or wire arrays, so
+//!   nothing in it goes stale when a sweep's parasitics change;
+//! * a full analysis ([`analyze`]) is one parasitic pass in level order
+//!   (each star built **once**, the cell delay derived from the same Elmore
+//!   total load), one forward sweep of [`crate::sta::arrival_of`] over the
+//!   order and one backward sweep of [`crate::sta::required_raw_of`] over it
+//!   reversed: the same kernels the dirty-cone update of
+//!   [`crate::incremental`] drains its frontiers with.
 //!
-//! * [`LevelizedView`] is a one-time **compiled view** of the network:
-//!   the live gates in level-major order, CSR-style fan-in/fan-out edge arrays
-//!   ([`rapids_netlist::FlatAdjacency`]), a per-slot polarity class, the
-//!   output-driver mask, and per-edge wire-delay slots filled once per sweep;
-//! * `full` analysis becomes: one parasitic pass in level order (each star
-//!   built **once**, the cell delay derived from the same Elmore total), one
-//!   wire-delay scatter (each sink list walked once instead of once per
-//!   lookup), one forward level sweep for arrivals and one backward level
-//!   sweep for raw required times.
+//! Arrivals read only strictly lower levels and required times only
+//! strictly higher levels, so walking the level-major order once in each
+//! direction is all the scheduling a sweep needs.
 //!
-//! Every sweep is a single serial pass: arrivals read only strictly lower
-//! levels and required times only strictly higher levels, so walking the
-//! level-major order once in each direction is all the scheduling needed.
+//! # View lifecycle
 //!
-//! # Compiled-view lifecycle
-//!
-//! A view is valid for the structure it was built from.  The rules, asserted
-//! in debug builds by the consumers:
+//! A view is valid for the structure it was built from.  The rules,
+//! asserted in debug builds by the consumers:
 //!
 //! * **full analysis** ([`analyze`],
 //!   [`IncrementalSta::full`](crate::IncrementalSta::full)) always
-//!   rebuilds the view — structure,
-//!   levels and edges are all fresh;
+//!   rebuilds the view;
 //! * **growth** (inverting swaps appended gates) rebuilds the view in place
-//!   with no parasitic work, exactly like the cached topological order it
-//!   replaces;
-//! * **local edits** (pin swaps, resizes) leave the view's *levels* usable as
-//!   a schedule — the incremental engine verifies `level(fanin) <
-//!   level(gate)` for every touched gate and falls back to a full rebuild on
-//!   violation — but its CSR edge and wire arrays are stale, so dirty-cone
-//!   updates read the live network adjacency instead
-//!   ([`crate::incremental`]).
+//!   with no parasitic work;
+//! * **local edits** (pin swaps, resizes) leave the view's levels usable as
+//!   a schedule: the incremental engine verifies `level(fanin) <
+//!   level(gate)` for every touched gate and falls back to a full rebuild
+//!   on violation.  Neither edit moves an output port, so the output mask
+//!   stays exact; the kernels read every edge from the live network.
 //!
-//! Every value this kernel produces is bit-identical to the reference
-//! analyzer ([`Sta::analyze_reference`](crate::Sta::analyze_reference)): the
-//! per-gate fold orders (pin order forward, fan-out list order backward) are
-//! preserved exactly, and the wire-delay scatter replicates the historical
-//! first-match lookup semantics for multi-pin sinks.
+//! Every value this sweep produces is bit-identical to the reference
+//! analyzer ([`Sta::analyze_reference`](crate::Sta::analyze_reference)):
+//! both run the same kernels, whose per-gate fold orders (pin order
+//! forward, fan-out list order backward) fix the floating-point result, and
+//! any topological order feeds them the same operands.  Only the
+//! parasitics are built differently (one star per net here, two in the
+//! reference), and `fast_parasitics_match_reference_kernel` pins those.
 
-use rapids_celllib::{cell_delay, CellDelay, Library};
-use rapids_netlist::{topo, FlatAdjacency, GateId, Network};
+use rapids_celllib::{CellDelay, Library};
+use rapids_netlist::{topo, GateId, Network};
 use rapids_placement::{net_star, Placement};
 
 use crate::elmore::{net_delays, NetDelays};
+use crate::gate_delay::cell_delay_at;
 use crate::rc::TimingConfig;
-use crate::sta::{clamp_required, ArrivalTime, TimingReport};
+use crate::sta::{arrival_of, clamp_required, required_raw_of, ArrivalTime, TimingReport};
 
-/// Polarity class of a gate, precomputed so the sweep kernels never touch
-/// the gate table.
-const KIND_SOURCE: u8 = 0;
-const KIND_XOR: u8 = 1;
-const KIND_INVERTING: u8 = 2;
-const KIND_PLAIN: u8 = 3;
-
-/// Compiled struct-of-arrays view of a network for level-batched sweeps.
+/// Compiled level-major schedule of a network.
 ///
 /// See the [module docs](self) for the lifecycle rules.
 #[derive(Debug, Clone)]
-pub struct LevelizedView {
+pub(crate) struct LevelizedView {
     /// Gate-slot count of the network this view was compiled from.
     slots: usize,
     /// Live gates in level-major order (level 0 first); within a level,
@@ -78,25 +64,14 @@ pub struct LevelizedView {
     num_levels: usize,
     /// Logic level per slot; `u32::MAX` for tomb-stoned slots.
     level: Vec<u32>,
-    /// Polarity class per slot (`KIND_*`).
-    kind: Vec<u8>,
     /// `true` per slot for gates driving a primary-output port.
     drives_output: Vec<bool>,
-    /// CSR fan-in/fan-out snapshot (pin order / fan-out list order).
-    adjacency: FlatAdjacency,
-    /// Wire delay per fan-in edge (driver → this pin), filled by
-    /// [`LevelizedView::scatter_wire_delays`]; 0.0 where the driver's net
-    /// has no entry, matching the historical `unwrap_or(0.0)`.
-    fanin_wire: Vec<f64>,
-    /// Wire delay per fan-out edge (this gate → sink pin), first-match
-    /// semantics per sink gate.
-    fanout_wire: Vec<f64>,
 }
 
 impl LevelizedView {
     /// Compiles the view for the network's current structure, or `None` if
     /// the network is cyclic.
-    pub fn build(network: &Network) -> Option<Self> {
+    pub(crate) fn build(network: &Network) -> Option<Self> {
         let slots = network.gate_count();
         let kahn = topo::topological_order(network)?;
         let levels = topo::levels_from_order(network, &kahn);
@@ -122,156 +97,40 @@ impl LevelizedView {
             order[offsets[l] as usize] = g;
             offsets[l] += 1;
         }
-        let kind = (0..slots)
-            .map(|s| {
-                let id = GateId(s as u32);
-                if !network.is_live(id) {
-                    return KIND_SOURCE;
-                }
-                let t = network.gate(id).gtype;
-                if t.is_source() {
-                    KIND_SOURCE
-                } else if t.is_xor_family() {
-                    KIND_XOR
-                } else if t.output_inverted() {
-                    KIND_INVERTING
-                } else {
-                    KIND_PLAIN
-                }
-            })
-            .collect();
-        let adjacency = FlatAdjacency::build(network);
-        let fanin_wire = vec![0.0; adjacency.fanin_edge_count()];
-        let fanout_wire = vec![0.0; adjacency.fanout_edge_count()];
         Some(LevelizedView {
             slots,
             order,
             num_levels,
             level,
-            kind,
             drives_output: (0..slots).map(|s| network.drives_output(GateId(s as u32))).collect(),
-            adjacency,
-            fanin_wire,
-            fanout_wire,
         })
     }
 
     /// Gate-slot count of the compiled structure (the invalidation check of
     /// every consumer: a network that grew or shrank past this no longer
     /// matches the view).
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.slots
     }
 
     /// Number of levels (0 for an empty network).
-    pub fn num_levels(&self) -> usize {
+    pub(crate) fn num_levels(&self) -> usize {
         self.num_levels
     }
 
     /// The live gates in level-major order — a valid topological order.
-    pub fn order(&self) -> &[GateId] {
+    pub(crate) fn order(&self) -> &[GateId] {
         &self.order
     }
 
     /// Logic level of a slot (`u32::MAX` for tomb-stoned slots).
-    pub fn level_of(&self, gate: GateId) -> u32 {
+    pub(crate) fn level_of(&self, gate: GateId) -> u32 {
         self.level[gate.index()]
     }
 
     /// `true` if `gate` drives a primary-output port (as of compile time).
     pub(crate) fn drives_output(&self, gate: GateId) -> bool {
         self.drives_output[gate.index()]
-    }
-
-    /// Fills the per-edge wire-delay arrays from freshly computed net
-    /// parasitics.  Each driver's sink list is walked exactly once; the
-    /// first entry per sink gate wins, replicating
-    /// [`NetDelays::delay_to_ns`]'s first-match semantics for sinks that
-    /// appear once per driven pin.
-    fn scatter_wire_delays(&mut self, nets: &[Option<NetDelays>]) {
-        self.fanin_wire.fill(0.0);
-        self.fanout_wire.fill(0.0);
-        // `seen[s] == f.0` marks that sink s's first-match delay for driver
-        // f is already in `first[s]` (each driver is visited once, so the
-        // driver id is a free epoch marker).
-        let mut seen = vec![u32::MAX; self.slots];
-        let mut first = vec![0.0f64; self.slots];
-        for &f in &self.order {
-            let Some(nd) = nets[f.index()].as_ref() else { continue };
-            let fo_range = self.adjacency.fanout_range(f.index());
-            debug_assert_eq!(
-                fo_range.len(),
-                nd.sink_delays_ns.len(),
-                "net parasitics must match the compiled fan-out edges"
-            );
-            for (k, &(s, d)) in nd.sink_delays_ns.iter().enumerate() {
-                if seen[s.index()] != f.0 {
-                    seen[s.index()] = f.0;
-                    first[s.index()] = d;
-                    let fi_range = self.adjacency.fanin_range(s.index());
-                    for (j, &driver) in self.adjacency.fanins_of(s.index()).iter().enumerate() {
-                        if driver == f.0 {
-                            self.fanin_wire[fi_range.start + j] = d;
-                        }
-                    }
-                }
-                self.fanout_wire[fo_range.start + k] = first[s.index()];
-            }
-        }
-    }
-
-    /// Forward kernel over the flat arrays: bit-identical to
-    /// [`crate::sta::arrival_of`] (same pin order, same operation sequence,
-    /// wire delays resolved through the scattered first-match values).
-    fn arrival_of_flat(
-        &self,
-        gate: usize,
-        gate_delays: &[CellDelay],
-        arrival: &[ArrivalTime],
-    ) -> ArrivalTime {
-        let kind = self.kind[gate];
-        if kind == KIND_SOURCE {
-            return ArrivalTime::default();
-        }
-        let d = gate_delays[gate];
-        let range = self.adjacency.fanin_range(gate);
-        let wires = &self.fanin_wire[range.clone()];
-        let mut out = ArrivalTime { rise_ns: 0.0, fall_ns: 0.0 };
-        for (&f, &wire) in self.adjacency.fanins_of(gate).iter().zip(wires) {
-            let a = arrival[f as usize];
-            let in_rise = a.rise_ns + wire;
-            let in_fall = a.fall_ns + wire;
-            let (cand_rise, cand_fall) = match kind {
-                KIND_XOR => {
-                    let worst_in = in_rise.max(in_fall);
-                    (worst_in + d.rise_ns, worst_in + d.fall_ns)
-                }
-                KIND_INVERTING => (in_fall + d.rise_ns, in_rise + d.fall_ns),
-                _ => (in_rise + d.rise_ns, in_fall + d.fall_ns),
-            };
-            out.rise_ns = out.rise_ns.max(cand_rise);
-            out.fall_ns = out.fall_ns.max(cand_fall);
-        }
-        out
-    }
-
-    /// Backward kernel over the flat arrays: bit-identical to
-    /// [`crate::sta::required_raw_of`].
-    fn required_raw_of_flat(
-        &self,
-        gate: usize,
-        gate_delays: &[CellDelay],
-        required_raw: &[f64],
-        required_time_ns: f64,
-    ) -> f64 {
-        let mut required = if self.drives_output[gate] { required_time_ns } else { f64::INFINITY };
-        let range = self.adjacency.fanout_range(gate);
-        let wires = &self.fanout_wire[range.clone()];
-        for (&s, &wire) in self.adjacency.fanouts_of(gate).iter().zip(wires) {
-            required =
-                required.min(required_raw[s as usize] - gate_delays[s as usize].worst() - wire);
-        }
-        required
     }
 }
 
@@ -291,37 +150,27 @@ pub(crate) fn refresh_parasitics_fast(
 ) {
     let star = net_star(network, placement, gate);
     let nd = net_delays(network, library, &star, config);
-    let g = network.gate(gate);
-    gate_delays[gate.index()] = if g.gtype.is_source() {
-        CellDelay::default()
-    } else {
-        match library.cell_for_gate(g) {
-            Some(cell) => cell_delay(cell, nd.total_load_pf),
-            None => CellDelay { rise_ns: 0.1, fall_ns: 0.1 },
-        }
-    };
+    gate_delays[gate.index()] = cell_delay_at(library, network.gate(gate), nd.total_load_pf);
     nets[gate.index()] = Some(nd);
 }
 
 /// Runs a full levelized analysis, compiling a fresh view.
-pub fn analyze(
+pub(crate) fn analyze(
     network: &Network,
     library: &Library,
     placement: &Placement,
     config: &TimingConfig,
 ) -> TimingReport {
-    let mut view =
-        LevelizedView::build(network).expect("timing analysis requires an acyclic network");
-    analyze_with_view(&mut view, network, library, placement, config)
+    let view = LevelizedView::build(network).expect("timing analysis requires an acyclic network");
+    analyze_with_view(&view, network, library, placement, config)
 }
 
 /// Runs a full analysis over an already-compiled view.  The view **must**
 /// have been built from this exact network structure (asserted in debug
-/// builds); the wire-delay arrays are refilled here, so a view can be
-/// reused across placements or drive-strength changes as long as the
-/// structure is unchanged.
+/// builds); it is only read, so a view can be reused across placements or
+/// drive-strength changes as long as the structure is unchanged.
 pub(crate) fn analyze_with_view(
-    view: &mut LevelizedView,
+    view: &LevelizedView,
     network: &Network,
     library: &Library,
     placement: &Placement,
@@ -338,7 +187,7 @@ pub(crate) fn analyze_with_view(
     let parasitics_span = rapids_obs::span("sta.parasitics");
     let mut nets: Vec<Option<NetDelays>> = vec![None; slots];
     let mut gate_delays: Vec<CellDelay> = vec![CellDelay::default(); slots];
-    for &g in &view.order {
+    for &g in view.order() {
         refresh_parasitics_fast(
             network,
             library,
@@ -349,33 +198,37 @@ pub(crate) fn analyze_with_view(
             &mut gate_delays,
         );
     }
-
-    // 2. Per-edge wire delays: every sink list walked once.
-    view.scatter_wire_delays(&nets);
     drop(parasitics_span);
 
-    // 3. Forward sweep (arrivals) over the level-major order, lowest level
+    // 2. Forward sweep (arrivals) over the level-major order, lowest level
     //    first.
     let forward_span = rapids_obs::span("sta.forward");
     let mut arrival = vec![ArrivalTime::default(); slots];
-    for &g in &view.order {
-        arrival[g.index()] = view.arrival_of_flat(g.index(), &gate_delays, &arrival);
+    for &g in view.order() {
+        arrival[g.index()] = arrival_of(network, g, &nets, &gate_delays, &arrival);
     }
     drop(forward_span);
 
-    // 4. Critical delay and required-time budget: same fold as the
+    // 3. Critical delay and required-time budget: same fold as the
     //    reference analyzer.
     let critical_delay_ns =
         network.outputs().iter().map(|o| arrival[o.driver.index()].worst()).fold(0.0, f64::max);
     let required_time_ns = config.required_time_ns.unwrap_or(critical_delay_ns);
 
-    // 5. Backward sweep (raw required times), highest level first, then the
+    // 4. Backward sweep (raw required times), highest level first, then the
     //    servable clamp.
     let backward_span = rapids_obs::span("sta.backward");
     let mut required_raw = vec![f64::INFINITY; slots];
-    for &g in view.order.iter().rev() {
-        required_raw[g.index()] =
-            view.required_raw_of_flat(g.index(), &gate_delays, &required_raw, required_time_ns);
+    for &g in view.order().iter().rev() {
+        required_raw[g.index()] = required_raw_of(
+            network,
+            g,
+            &nets,
+            &gate_delays,
+            &required_raw,
+            view.drives_output(g),
+            required_time_ns,
+        );
     }
     let required: Vec<f64> =
         required_raw.iter().map(|&r| clamp_required(r, required_time_ns)).collect();
@@ -465,8 +318,8 @@ mod tests {
 
     #[test]
     fn multi_pin_sinks_keep_first_match_wire_delays() {
-        // A sink using the same driver on two pins exercises the
-        // first-match scatter path.
+        // A sink reading one driver on two pins: both pins take the
+        // driver's first-match wire delay (`NetDelays::delay_to_ns`).
         let mut b = NetworkBuilder::new("mp");
         b.inputs(["a", "b"]);
         b.gate("x", GateType::Xor, &["a", "a"]);

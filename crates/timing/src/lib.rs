@@ -35,7 +35,7 @@ pub mod cache;
 pub mod elmore;
 pub mod gate_delay;
 pub mod incremental;
-pub mod levelized;
+mod levelized;
 pub mod rc;
 pub mod sta;
 
@@ -43,6 +43,5 @@ pub use cache::NetCache;
 pub use elmore::{net_delays, NetDelays};
 pub use gate_delay::{gate_load_pf, gate_output_delay};
 pub use incremental::{IncrementalSta, IncrementalStats};
-pub use levelized::LevelizedView;
 pub use rc::{segment_capacitance_pf, segment_resistance_kohm, TimingConfig};
 pub use sta::{ArrivalTime, Sta, TimingReport};

@@ -3,14 +3,15 @@
 //! The analysis propagates rise/fall arrival times forward through the
 //! network (inverting cells exchange the polarities), computes required
 //! times backward from the primary outputs, and reports per-gate slacks and
-//! the critical path.  The per-gate propagation kernels live here and are
-//! shared with the dirty-cone engine in [`crate::incremental`]:
-//! [`crate::IncrementalSta::update`] runs them over the affected
-//! fan-out/fan-in cones.  `Sta::analyze` routes through the batched
-//! levelized kernel ([`crate::levelized`]); the pointer-chasing full sweep
-//! is preserved as [`Sta::analyze_reference`], the executable specification
-//! everything else is verified against.  All three produce bit-identical
-//! [`TimingReport`]s.
+//! the critical path.  The per-gate propagation kernels live here, and
+//! every analysis runs them: [`Sta::analyze`] sweeps them over a compiled
+//! level-major schedule, [`crate::IncrementalSta::update`] over the
+//! affected fan-out/fan-in cones, and [`Sta::analyze_reference`] over a
+//! plain topological order.  The reference builds its own parasitics (two
+//! stars per net) and is the executable specification the other two are
+//! verified against; the kernels themselves are pinned against textbook
+//! per-edge chaining by this module's tests.  All three produce
+//! bit-identical [`TimingReport`]s.
 //!
 //! Required times keep the textbook min-propagation form (so results are
 //! bit-identical to the historical analyzer), stored twice: the *raw* value
@@ -131,7 +132,7 @@ impl TimingReport {
 }
 
 // ----------------------------------------------------------------------
-// Shared propagation kernels (used by `Sta::analyze` and `IncrementalSta`)
+// Shared propagation kernels (used by every analysis in this crate)
 // ----------------------------------------------------------------------
 
 /// Recomputes the net parasitics and the cell delay of one gate from the
@@ -228,11 +229,12 @@ pub struct Sta;
 impl Sta {
     /// Runs a full rise/fall static timing analysis of the placed network.
     ///
-    /// Since the levelized kernel landed this routes through
-    /// [`crate::levelized`]: a compiled struct-of-arrays view is built and
-    /// swept level by level.  The result is bit-identical to
-    /// [`Sta::analyze_reference`] (the seeded property suites and the
-    /// incremental self-check enforce this).
+    /// The network is compiled into a level-major schedule, each net's
+    /// parasitics are built from one star, and the shared per-gate kernels
+    /// sweep the schedule forward for arrivals and backward for required
+    /// times.  The result is bit-identical to [`Sta::analyze_reference`]
+    /// (the seeded property suites and the incremental self-check enforce
+    /// this).
     ///
     /// # Panics
     ///
@@ -261,10 +263,12 @@ impl Sta {
         Self::analyze(network, library, placement, config)
     }
 
-    /// The reference analyzer: per-gate pointer-chasing sweeps over the
-    /// network's native adjacency, preserved verbatim as the executable
-    /// specification the levelized kernel is verified against (and as the
-    /// honest pre-kernel baseline for the `sta_kernel` micro-bench).
+    /// The reference analyzer: the shared kernels swept over a plain
+    /// topological order, on parasitics built with two stars per net (one
+    /// for the net delays, another inside the cell-delay load query).
+    /// It is the executable specification [`Sta::analyze`] and the
+    /// incremental engine are verified against, and the baseline of the
+    /// `sta_kernel` micro-bench.
     ///
     /// # Panics
     ///
@@ -489,6 +493,52 @@ mod tests {
         // different because the NAND cell has asymmetric rise/fall.
         assert!(a.rise_ns > 0.0 && a.fall_ns > 0.0);
         assert!((a.rise_ns - a.fall_ns).abs() > 1e-9);
+    }
+
+    #[test]
+    fn arrivals_match_direct_forward_chaining() {
+        // The per-gate forward kernel must agree bit-for-bit with the
+        // textbook per-edge max-propagation of rise/fall arrivals, on an
+        // XOR, an inverting and a non-inverting gate, a sink reading one
+        // driver on two pins, and an output driver.
+        let mut b = NetworkBuilder::new("forward");
+        b.inputs(["a", "b", "c"]);
+        b.gate("x", GateType::Xor, &["a", "b"]);
+        b.gate("n", GateType::Nand, &["x", "c"]);
+        b.gate("m", GateType::And, &["x", "n"]);
+        b.gate("s", GateType::Or, &["m", "m"]);
+        b.output("s");
+        b.output("n");
+        let n = b.finish().unwrap();
+        let (_, _, r) = analyzed(&n);
+        let order = rapids_netlist::topo::topological_order(&n).unwrap();
+        let mut arrival = vec![ArrivalTime::default(); n.gate_count()];
+        for &g in &order {
+            let gtype = n.gate(g).gtype;
+            if gtype.is_source() {
+                continue;
+            }
+            let d = r.gate_delay(g);
+            for &f in n.fanins(g) {
+                let wire = r.net(f).and_then(|nd| nd.delay_to_ns(g)).unwrap_or(0.0);
+                let (in_rise, in_fall) =
+                    (arrival[f.index()].rise_ns + wire, arrival[f.index()].fall_ns + wire);
+                let (rise, fall) = if gtype.is_xor_family() {
+                    let worst = in_rise.max(in_fall);
+                    (worst + d.rise_ns, worst + d.fall_ns)
+                } else if gtype.output_inverted() {
+                    (in_fall + d.rise_ns, in_rise + d.fall_ns)
+                } else {
+                    (in_rise + d.rise_ns, in_fall + d.fall_ns)
+                };
+                let slot = &mut arrival[g.index()];
+                slot.rise_ns = slot.rise_ns.max(rise);
+                slot.fall_ns = slot.fall_ns.max(fall);
+            }
+        }
+        for g in n.iter_live() {
+            assert_eq!(r.arrival(g), arrival[g.index()], "arrival mismatch at {g}");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Seeded property tests for the levelized STA kernel contract.
+//! Seeded property tests for the full-analysis contract.
 //!
-//! The levelized struct-of-arrays kernel behind `Sta::analyze` must be a
-//! *perfect* stand-in for the pointer-chasing reference analyzer
-//! (`Sta::analyze_reference`): bit-identical arrival/required/slack arrays
-//! on every network shape the optimizers can produce.  These tests drive
-//! one circuit per suite generator family through random drive-strength
-//! streams and assert, after every step:
+//! `Sta::analyze` sweeps the shared per-gate kernels over a level-major
+//! schedule, on parasitics built with one star per net.  It must be a
+//! *perfect* stand-in for the reference analyzer (`Sta::analyze_reference`,
+//! the same kernels over a topological order, on parasitics built with two
+//! stars per net): bit-identical arrival/required/slack arrays on every
+//! network shape the optimizers can produce.  These tests drive one circuit
+//! per suite generator family through random drive-strength streams and
+//! assert, after every step:
 //!
 //! * levelized-vs-scalar bit-identity of all three per-gate arrays,
 //! * thread-count invariance of `Sta::analyze_with_threads`, which ignores
