@@ -211,7 +211,8 @@ timeout 120 ./target/release/rapids-serve --fast --workers 2 --sort \
     --trace-out target/ci_trace.json --metrics-out target/ci_metrics.json \
     2> /dev/null | diff - ci/expected_serve_smoke.jsonl
 ./target/release/trace_check target/ci_trace.json \
-    serve.job serve.resolve serve.run stage.sta sta.full sta.update optimizer.pass > /dev/null
+    serve.job serve.resolve serve.run stage.sta sta.full sta.update optimizer.pass \
+    optimizer.sizing_pass optimizer.sizing_visit sizer.pass > /dev/null
 sed -n '/^  "counters": {$/,/^  },$/p' target/ci_metrics.json \
     | diff - ci/expected_metrics_smoke.json
 

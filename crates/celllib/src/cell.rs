@@ -57,26 +57,6 @@ impl DriveStrength {
             _ => DriveStrength::X8,
         }
     }
-
-    /// Next stronger implementation, if any.
-    pub fn upsize(self) -> Option<DriveStrength> {
-        match self {
-            DriveStrength::X1 => Some(DriveStrength::X2),
-            DriveStrength::X2 => Some(DriveStrength::X4),
-            DriveStrength::X4 => Some(DriveStrength::X8),
-            DriveStrength::X8 => None,
-        }
-    }
-
-    /// Next weaker implementation, if any.
-    pub fn downsize(self) -> Option<DriveStrength> {
-        match self {
-            DriveStrength::X1 => None,
-            DriveStrength::X2 => Some(DriveStrength::X1),
-            DriveStrength::X4 => Some(DriveStrength::X2),
-            DriveStrength::X8 => Some(DriveStrength::X4),
-        }
-    }
 }
 
 impl fmt::Display for DriveStrength {
@@ -147,14 +127,6 @@ mod tests {
             assert_eq!(DriveStrength::from_size_class(d.size_class()), d);
         }
         assert_eq!(DriveStrength::from_size_class(9), DriveStrength::X8);
-    }
-
-    #[test]
-    fn upsize_downsize_chain() {
-        assert_eq!(DriveStrength::X1.upsize(), Some(DriveStrength::X2));
-        assert_eq!(DriveStrength::X8.upsize(), None);
-        assert_eq!(DriveStrength::X1.downsize(), None);
-        assert_eq!(DriveStrength::X8.downsize(), Some(DriveStrength::X4));
     }
 
     #[test]

@@ -53,9 +53,7 @@ use rapids_celllib::Library;
 use rapids_legalize::RowModel;
 use rapids_netlist::{GateId, Network};
 use rapids_placement::{gate_width_sites, Placement, Point};
-use rapids_sizing::{
-    neighborhood_eval, resized_since, size_classes, CancelToken, GateSizer, SizerConfig,
-};
+use rapids_sizing::{CancelToken, GateSizer, SizerConfig};
 use rapids_timing::{IncrementalSta, IncrementalStats, NetCache, TimingConfig, TimingReport};
 
 use crate::report::SupergateStatistics;
@@ -83,9 +81,6 @@ impl std::fmt::Display for OptimizerKind {
         }
     }
 }
-
-/// Gates within this margin of the worst slack count as critical, ns.
-const CRITICAL_MARGIN_NS: f64 = 0.2;
 
 /// Configuration of the post-placement optimizer.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,9 +173,9 @@ pub struct OptimizationOutcome {
     pub cpu_seconds: f64,
     /// Supergate statistics of the (pre-optimization) netlist.
     pub statistics: SupergateStatistics,
-    /// Work counters of the timing engine(s) that drove the run — full
-    /// re-analyses, dirty-cone updates and gates re-timed, summed over this
-    /// run's own engine and the sizer's when the sizer ran one.
+    /// Work counters of the run's timing engine — full re-analyses,
+    /// dirty-cone updates and gates re-timed.  The sizer of `GS` and
+    /// `gsg+GS` drives this same engine.
     pub sta: IncrementalStats,
 }
 
@@ -224,11 +219,11 @@ impl Optimizer {
     }
 
     /// Attaches a cooperative cancellation token, polled at pass boundaries
-    /// of every optimization loop (rewiring, restricted sizing, and the
-    /// delegated [`GateSizer`]).  A cancelled run stops between passes and
-    /// reports the best result reached so far; it never tears the network.
-    /// The token lives on the optimizer, not the config, so config equality
-    /// and fingerprints are unaffected.
+    /// of every optimization loop: rewiring here, and the sizing passes of
+    /// the delegated [`GateSizer`].  A cancelled run stops between passes
+    /// and reports the best result reached so far; it never tears the
+    /// network.  The token lives on the optimizer, not the config, so
+    /// config equality and fingerprints are unaffected.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
@@ -296,10 +291,9 @@ impl Optimizer {
                 // The sizer drives our own engine, which therefore ends the
                 // run current — no second engine, no redundant full
                 // re-analysis, no stats plumb-through to merge back.
-                let outcome = GateSizer::new(self.config.sizer.clone())
+                gates_resized = GateSizer::new(self.config.sizer.clone())
                     .with_cancel(self.cancel.clone())
                     .optimize_with(network, library, placement, timing, &mut inc);
-                gates_resized = outcome.resized_gates;
             }
             OptimizerKind::Rewiring => {
                 (swaps_applied, inverting_swaps_applied) = self.rewiring_loop(
@@ -333,15 +327,17 @@ impl Optimizer {
                     &mut cache,
                     &mut extraction,
                 );
-                gates_resized = self.restricted_sizing(
-                    network,
-                    library,
-                    placement,
-                    timing,
-                    &trivial_gates,
-                    &mut inc,
-                    &mut cache,
-                );
+                gates_resized = GateSizer::new(self.config.sizer.clone())
+                    .with_cancel(self.cancel.clone())
+                    .optimize_domain(
+                        network,
+                        library,
+                        placement,
+                        timing,
+                        &trivial_gates,
+                        &mut inc,
+                        &mut cache,
+                    );
             }
         }
 
@@ -547,87 +543,6 @@ impl Optimizer {
                 );
             }
         }
-    }
-
-    /// Coudert-style sizing restricted to a set of gates (the trivially
-    /// covered gates in `gsg+GS`).
-    #[allow(clippy::too_many_arguments)]
-    fn restricted_sizing(
-        &self,
-        network: &mut Network,
-        library: &Library,
-        placement: &Placement,
-        timing: &TimingConfig,
-        domain: &HashSet<GateId>,
-        inc: &mut IncrementalSta,
-        cache: &mut NetCache,
-    ) -> usize {
-        let initial_classes = size_classes(network);
-        for _ in 0..self.config.sizer.max_passes {
-            if self.cancel.is_cancelled() {
-                break;
-            }
-            rapids_obs::metrics::counter("optimizer.sizing_passes").inc();
-            let _pass_span = rapids_obs::span("optimizer.sizing_pass");
-            let report = inc.report();
-            let pass_start_delay = report.critical_delay_ns();
-            let worst = report.worst_slack_ns();
-            let mut gates: Vec<GateId> = domain
-                .iter()
-                .copied()
-                .filter(|&g| network.is_live(g) && !network.gate(g).gtype.is_source())
-                .collect();
-            // Tie-break on the id: the list is collected from a `HashSet`,
-            // whose iteration order would otherwise leak into equal-slack
-            // runs and make reports irreproducible.
-            gates.sort_by(|&a, &b| {
-                report.slack(a).total_cmp(&report.slack(b)).then_with(|| a.cmp(&b))
-            });
-            let mut journal: Vec<(GateId, u8)> = Vec::new();
-            let visit_span = rapids_obs::span("optimizer.sizing_visit");
-            for g in gates {
-                let is_critical = report.slack(g) <= worst + CRITICAL_MARGIN_NS;
-                if let Some(best) = decide_best_drive_local(
-                    network,
-                    library,
-                    placement,
-                    timing,
-                    report,
-                    cache,
-                    g,
-                    !is_critical,
-                    worst,
-                ) {
-                    journal.push((g, network.gate(g).size_class));
-                    network.gate_mut(g).size_class = best;
-                    let fanins: Vec<GateId> = network.fanins(g).to_vec();
-                    for f in fanins {
-                        cache.invalidate_loads(f);
-                    }
-                }
-            }
-            drop(visit_span);
-            if journal.is_empty() {
-                break;
-            }
-            let touched: Vec<GateId> = journal.iter().map(|&(g, _)| g).collect();
-            inc.update(network, library, placement, &touched);
-            if inc.report().critical_delay_ns() > pass_start_delay + 1e-9 {
-                for &(g, class) in journal.iter().rev() {
-                    network.gate_mut(g).size_class = class;
-                    let fanins: Vec<GateId> = network.fanins(g).to_vec();
-                    for f in fanins {
-                        cache.invalidate_loads(f);
-                    }
-                }
-                inc.update(network, library, placement, &touched);
-                rapids_obs::metrics::counter("optimizer.rollbacks").inc();
-                break;
-            }
-        }
-        let resized = resized_since(network, &initial_classes);
-        rapids_obs::metrics::counter("sizer.gates_resized").add(resized as u64);
-        resized
     }
 }
 
@@ -981,74 +896,6 @@ fn frozen_required(
     }
 }
 
-/// Tries every drive strength for one gate using the combined neighborhood
-/// evaluation and returns the best class if it differs from the current one.
-/// Mirrors the logic of the stand-alone sizer but operates on an arbitrary
-/// gate subset; the network (and cache) are left exactly as found.
-// Takes the full evaluation context by design: every argument is a
-// distinct piece of the timing state a candidate must be scored against.
-#[allow(clippy::too_many_arguments)]
-fn decide_best_drive_local(
-    network: &mut Network,
-    library: &Library,
-    placement: &Placement,
-    timing: &TimingConfig,
-    report: &TimingReport,
-    cache: &mut NetCache,
-    gate: GateId,
-    prefer_small: bool,
-    worst_slack_ns: f64,
-) -> Option<u8> {
-    let g = network.gate(gate);
-    let drives = library.available_drives(g.gtype, g.fanin_count());
-    if drives.len() <= 1 {
-        return None;
-    }
-    let original = g.size_class;
-    let fanins: Vec<GateId> = network.fanins(gate).to_vec();
-    let baseline = neighborhood_eval(network, library, placement, timing, report, cache, gate);
-    // Same do-no-harm floor as the stand-alone sizer's min-slack phase: a
-    // candidate may load the drivers harder only while none of them falls
-    // below the global worst slack (scoring the combined neighborhood
-    // minimum instead deadlocks on uniformly critical paths — see
-    // rapids_sizing::fanin_min_slack_ns).
-    let baseline_slack = baseline.min_slack_ns();
-    let driver_floor = baseline.fanin_min_slack_ns.min(worst_slack_ns);
-    let mut best_class = original;
-    let mut best_metric = f64::NEG_INFINITY;
-    for drive in drives {
-        network.gate_mut(gate).size_class = drive.size_class();
-        for &f in &fanins {
-            cache.invalidate_loads(f);
-        }
-        let eval = neighborhood_eval(network, library, placement, timing, report, cache, gate);
-        let area = library
-            .cell(network.gate(gate).gtype, network.gate(gate).fanin_count(), drive)
-            .map(|c| c.area_um2)
-            .unwrap_or(0.0);
-        let metric = if prefer_small {
-            if eval.min_slack_ns() + 1e-9 < baseline_slack.min(0.0) {
-                f64::NEG_INFINITY
-            } else {
-                -area
-            }
-        } else if eval.fanin_min_slack_ns + 1e-9 < driver_floor {
-            f64::NEG_INFINITY
-        } else {
-            eval.own_slack_ns
-        };
-        if metric > best_metric {
-            best_metric = metric;
-            best_class = drive.size_class();
-        }
-    }
-    network.gate_mut(gate).size_class = original;
-    for &f in &fanins {
-        cache.invalidate_loads(f);
-    }
-    (best_class != original).then_some(best_class)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1111,6 +958,30 @@ mod tests {
         assert!(outcome.delay_improvement_percent() >= 0.0);
         assert!(check_equivalence_random(&reference, &network, 512, 9).is_equivalent());
         assert!(outcome.cpu_seconds > 0.0);
+    }
+
+    #[test]
+    fn combined_sizes_only_trivially_covered_gates() {
+        let (reference, library, placement, timing) = setup("alu2");
+        let mut network = reference.clone();
+        let outcome = Optimizer::new(OptimizerConfig::fast(OptimizerKind::Combined)).optimize(
+            &mut network,
+            &library,
+            &placement,
+            &timing,
+        );
+        assert!(outcome.gates_resized > 0, "alu2's gsg+GS run must size something");
+        let domain: HashSet<GateId> = extract_supergates(&reference)
+            .supergates()
+            .iter()
+            .filter(|sg| sg.is_trivial())
+            .flat_map(|sg| sg.members.iter().copied())
+            .collect();
+        for g in reference.iter_live() {
+            if network.gate(g).size_class != reference.gate(g).size_class {
+                assert!(domain.contains(&g), "{g} is not covered by a trivial supergate");
+            }
+        }
     }
 
     #[test]

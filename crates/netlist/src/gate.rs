@@ -79,22 +79,6 @@ impl Logic {
             Logic::One => Logic::Zero,
         }
     }
-
-    /// Converts to `bool` (`One` ⇒ `true`).
-    #[inline]
-    pub fn to_bool(self) -> bool {
-        matches!(self, Logic::One)
-    }
-
-    /// Converts from `bool` (`true` ⇒ `One`).
-    #[inline]
-    pub fn from_bool(value: bool) -> Logic {
-        if value {
-            Logic::One
-        } else {
-            Logic::Zero
-        }
-    }
 }
 
 impl fmt::Display for Logic {
@@ -192,36 +176,6 @@ impl GateType {
         matches!(self, GateType::Nand | GateType::Nor | GateType::Xnor | GateType::Inv)
     }
 
-    /// Returns the *controlling value* `cv(g)` of the gate, if one exists
-    /// (§2 of the paper).  AND/NAND are controlled by 0, OR/NOR by 1;
-    /// XOR-family and single-input gates have no controlling value.
-    pub fn controlling_value(self) -> Option<Logic> {
-        match self.base_function() {
-            BaseFunction::And => Some(Logic::Zero),
-            BaseFunction::Or => Some(Logic::One),
-            _ => None,
-        }
-    }
-
-    /// Returns the *non-controlling value* `ncv(g)`, if one exists.
-    pub fn non_controlling_value(self) -> Option<Logic> {
-        self.controlling_value().map(Logic::complement)
-    }
-
-    /// Output value when a controlling value is applied at any input,
-    /// accounting for output inversion.  `None` for XOR-family gates.
-    pub fn controlled_output(self) -> Option<Logic> {
-        let cv = self.controlling_value()?;
-        // AND outputs 0 when controlled, OR outputs 1; invert for NAND/NOR.
-        let out = match self.base_function() {
-            BaseFunction::And => Logic::Zero,
-            BaseFunction::Or => Logic::One,
-            _ => return None,
-        };
-        let _ = cv;
-        Some(if self.output_inverted() { out.complement() } else { out })
-    }
-
     /// Returns `true` for types that carry no fan-in (inputs and constants).
     pub fn is_source(self) -> bool {
         matches!(self, GateType::Input | GateType::Const0 | GateType::Const1)
@@ -235,11 +189,6 @@ impl GateType {
     /// Returns `true` if the type is in the XOR family (XOR/XNOR).
     pub fn is_xor_family(self) -> bool {
         matches!(self.base_function(), BaseFunction::Xor)
-    }
-
-    /// Returns `true` if the type is in the AND/OR family (incl. inverted forms).
-    pub fn is_and_or_family(self) -> bool {
-        matches!(self.base_function(), BaseFunction::And | BaseFunction::Or)
     }
 
     /// Permitted fan-in range `(min, max)` for the type; `max = usize::MAX`
@@ -311,20 +260,6 @@ impl GateType {
             GateType::Xnor => GateType::Xor,
             GateType::Buf => GateType::Inv,
             GateType::Inv => GateType::Buf,
-            other => other,
-        }
-    }
-
-    /// Returns the DeMorgan dual of the *base* function with the same output
-    /// inversion (AND ⇄ OR, NAND ⇄ NOR).  XOR-family and unary types are
-    /// returned unchanged; the DeMorgan transform of Definition 4 only applies
-    /// to AND/OR supergates.
-    pub fn demorgan_dual(self) -> GateType {
-        match self {
-            GateType::And => GateType::Or,
-            GateType::Or => GateType::And,
-            GateType::Nand => GateType::Nor,
-            GateType::Nor => GateType::Nand,
             other => other,
         }
     }
@@ -423,36 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn controlling_values_match_paper() {
-        assert_eq!(GateType::And.controlling_value(), Some(Logic::Zero));
-        assert_eq!(GateType::Nand.controlling_value(), Some(Logic::Zero));
-        assert_eq!(GateType::Or.controlling_value(), Some(Logic::One));
-        assert_eq!(GateType::Nor.controlling_value(), Some(Logic::One));
-        assert_eq!(GateType::Xor.controlling_value(), None);
-        assert_eq!(GateType::Xnor.controlling_value(), None);
-        assert_eq!(GateType::Inv.controlling_value(), None);
-        assert_eq!(GateType::Buf.controlling_value(), None);
-    }
-
-    #[test]
-    fn non_controlling_is_complement() {
-        for t in [GateType::And, GateType::Or, GateType::Nand, GateType::Nor] {
-            let cv = t.controlling_value().unwrap();
-            let ncv = t.non_controlling_value().unwrap();
-            assert_eq!(cv.complement(), ncv);
-        }
-    }
-
-    #[test]
-    fn controlled_output_values() {
-        assert_eq!(GateType::And.controlled_output(), Some(Logic::Zero));
-        assert_eq!(GateType::Nand.controlled_output(), Some(Logic::One));
-        assert_eq!(GateType::Or.controlled_output(), Some(Logic::One));
-        assert_eq!(GateType::Nor.controlled_output(), Some(Logic::Zero));
-        assert_eq!(GateType::Xor.controlled_output(), None);
-    }
-
-    #[test]
     fn eval_bool_truth_tables() {
         assert!(GateType::And.eval_bool(&[true, true]));
         assert!(!GateType::And.eval_bool(&[true, false]));
@@ -492,9 +397,6 @@ mod tests {
         assert_eq!(GateType::And.inverted_form(), GateType::Nand);
         assert_eq!(GateType::Nand.inverted_form(), GateType::And);
         assert_eq!(GateType::Xor.inverted_form(), GateType::Xnor);
-        assert_eq!(GateType::And.demorgan_dual(), GateType::Or);
-        assert_eq!(GateType::Nor.demorgan_dual(), GateType::Nand);
-        assert_eq!(GateType::Xor.demorgan_dual(), GateType::Xor);
     }
 
     #[test]
@@ -518,8 +420,6 @@ mod tests {
     #[test]
     fn logic_ops() {
         assert_eq!(!Logic::Zero, Logic::One);
-        assert_eq!(Logic::from_bool(true), Logic::One);
-        assert!(Logic::One.to_bool());
         assert_eq!(Logic::One.to_string(), "1");
     }
 

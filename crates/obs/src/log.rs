@@ -34,16 +34,6 @@ pub fn set_max_level(level: Level) {
     MAX_LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-/// The current ceiling.
-pub fn max_level() -> Level {
-    match MAX_LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Error,
-        1 => Level::Warn,
-        2 => Level::Info,
-        _ => Level::Debug,
-    }
-}
-
 /// Whether `level` currently prints.
 #[inline]
 pub fn enabled(level: Level) -> bool {
@@ -124,7 +114,6 @@ mod tests {
         assert!(enabled(Level::Error));
         assert!(!enabled(Level::Warn));
         assert!(!enabled(Level::Info));
-        assert_eq!(max_level(), Level::Error);
         set_max_level(Level::Info);
     }
 

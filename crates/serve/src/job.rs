@@ -20,19 +20,6 @@ pub enum JobSource {
     BlifText(String),
 }
 
-/// Lifecycle of a job inside a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Accepted, not yet picked up by a worker.
-    Queued,
-    /// A worker is executing it.
-    Running,
-    /// Finished with a QoR report (possibly served from the cache).
-    Done,
-    /// Finished with a captured error (parse failure, flow error, panic).
-    Failed,
-}
-
 /// One schedulable unit of work: a named circuit source plus the full
 /// effective [`PipelineConfig`] it runs under.  The config is resolved at
 /// submission time (base config + per-job overrides), so executing a job

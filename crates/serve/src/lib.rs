@@ -19,8 +19,8 @@
 //!   to disk through [`journal`], the crate's one crash-safe checksummed
 //!   log (the tick journal's too);
 //! * **scheduling** ([`server`]) — the [`BatchServer`] fans a batch out
-//!   over `workers` threads with per-job status tracking and graceful
-//!   cancellation, streaming completion-order results to the caller;
+//!   over `workers` threads, streaming completion-order results to the
+//!   caller;
 //! * **front ends** ([`net`] and the `rapids-serve` binary) — a CLI that
 //!   writes streaming JSONL reports and an optional TCP line-protocol mode
 //!   for true long-running use;
@@ -70,7 +70,7 @@ pub use engine::Engine;
 pub use faults::{FaultAction, FaultPlan, FaultPoint};
 pub use heartbeat::Heartbeat;
 pub use ingest::{discover_blif_files, jobs_from_blif_dir, jobs_from_jsonl, suite_jobs};
-pub use job::{Job, JobSource, JobStatus};
+pub use job::{Job, JobSource};
 pub use journal::Journal;
 pub use report::{DesignQor, JobOutcome, JobReport, VerifyVerdict};
 pub use retry::{with_backoff, BackoffPolicy};

@@ -7,15 +7,13 @@
 //! output sort the lines ([`crate::report::canonical_sort`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
-
-use rapids_flow::CancelToken;
+use std::sync::mpsc;
 
 use crate::engine::Engine;
-use crate::job::{Job, JobStatus};
+use crate::job::Job;
 use crate::report::JobReport;
 
-/// What a finished (or cancelled) batch looked like.
+/// What a finished batch looked like.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchSummary {
     /// Jobs that completed with a QoR report.
@@ -24,10 +22,6 @@ pub struct BatchSummary {
     pub failed: usize,
     /// Among `done`, how many were served from the cache.
     pub cached: usize,
-    /// Jobs never started because the batch was cancelled.
-    pub skipped: usize,
-    /// Final per-job status, indexed like the submitted job slice.
-    pub statuses: Vec<JobStatus>,
 }
 
 /// A bounded worker pool around a shared [`Engine`].
@@ -57,23 +51,12 @@ impl BatchServer {
 
     /// Runs a batch, invoking `on_result` on the caller's thread as each
     /// job finishes (completion order).  Blocks until every job has
-    /// finished or, after cancellation, until in-flight jobs drain.
-    pub fn run_streaming<F: FnMut(&JobReport)>(&self, jobs: &[Job], on_result: F) -> BatchSummary {
-        self.run_streaming_with_cancel(jobs, &CancelToken::new(), on_result)
-    }
-
-    /// [`BatchServer::run_streaming`] with an external cancellation token.
-    ///
-    /// Cancellation is *graceful*: workers finish the job they are on and
-    /// stop picking up new ones; jobs never started stay `Queued`.
-    pub fn run_streaming_with_cancel<F: FnMut(&JobReport)>(
+    /// finished.
+    pub fn run_streaming<F: FnMut(&JobReport)>(
         &self,
         jobs: &[Job],
-        cancel: &CancelToken,
         mut on_result: F,
     ) -> BatchSummary {
-        let statuses: Vec<Mutex<JobStatus>> =
-            jobs.iter().map(|_| Mutex::new(JobStatus::Queued)).collect();
         let next = AtomicUsize::new(0);
         let mut done = 0;
         let mut failed = 0;
@@ -83,22 +66,15 @@ impl BatchServer {
             let (tx, rx) = mpsc::channel::<JobReport>();
             for _ in 0..self.workers.min(jobs.len()) {
                 let tx = tx.clone();
-                let statuses = &statuses;
                 let next = &next;
                 s.spawn(move || loop {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= jobs.len() {
                         break;
                     }
                     // Unclaimed jobs behind this one (a level, not a rate).
                     self.engine.set_queue_depth(jobs.len().saturating_sub(i + 1) as i64);
-                    *statuses[i].lock().expect("status lock poisoned") = JobStatus::Running;
                     let report = self.engine.execute(&jobs[i]);
-                    *statuses[i].lock().expect("status lock poisoned") =
-                        if report.is_done() { JobStatus::Done } else { JobStatus::Failed };
                     // Manual-tick telemetry samples here — a quiescent
                     // point with respect to this job: its metrics are
                     // fully recorded, its report not yet handed on.
@@ -122,11 +98,7 @@ impl BatchServer {
                 on_result(&report);
             }
         });
-
-        let statuses: Vec<JobStatus> =
-            statuses.into_iter().map(|m| m.into_inner().expect("status lock poisoned")).collect();
-        let skipped = statuses.iter().filter(|&&st| st == JobStatus::Queued).count();
-        BatchSummary { done, failed, cached, skipped, statuses }
+        BatchSummary { done, failed, cached }
     }
 }
 
@@ -142,10 +114,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let summary = server(4).run_streaming(&[], |_| panic!("no results expected"));
-        assert_eq!(
-            summary,
-            BatchSummary { done: 0, failed: 0, cached: 0, skipped: 0, statuses: vec![] }
-        );
+        assert_eq!(summary, BatchSummary { done: 0, failed: 0, cached: 0 });
     }
 
     #[test]
@@ -159,45 +128,7 @@ mod tests {
         ];
         let mut lines = Vec::new();
         let summary = s.run_streaming(&jobs, |r| lines.push(r.to_jsonl()));
-        assert_eq!((summary.done, summary.failed, summary.skipped), (2, 1, 0));
-        assert_eq!(summary.statuses[0], JobStatus::Done);
-        assert_eq!(summary.statuses[1], JobStatus::Failed);
-        assert_eq!(summary.statuses[2], JobStatus::Done);
+        assert_eq!((summary.done, summary.failed), (2, 1));
         assert_eq!(lines.len(), 3);
-    }
-
-    #[test]
-    fn pre_cancelled_batch_skips_everything() {
-        let s = server(2);
-        let base = s.engine().base_config().clone();
-        let jobs = vec![Job::suite("c432", &base), Job::suite("alu2", &base)];
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let summary = s.run_streaming_with_cancel(&jobs, &cancel, |_| {});
-        assert_eq!(summary.skipped, 2);
-        assert_eq!(summary.statuses, vec![JobStatus::Queued, JobStatus::Queued]);
-        assert_eq!(s.engine().optimizer_runs(), 0);
-    }
-
-    #[test]
-    fn cancel_mid_batch_drains_in_flight_jobs() {
-        let s = server(1);
-        let base = s.engine().base_config().clone();
-        // Distinct designs: repeated submissions would be near-instant
-        // cache hits, letting the single worker drain the whole queue
-        // before the callback's cancel becomes visible.
-        let jobs: Vec<Job> =
-            ["c432", "alu2", "c499", "c1908"].iter().map(|n| Job::suite(*n, &base)).collect();
-        let cancel = CancelToken::new();
-        let mut seen = 0;
-        let summary = s.run_streaming_with_cancel(&jobs, &cancel, |_| {
-            seen += 1;
-            cancel.cancel();
-        });
-        // One worker: the first job finishes, the callback cancels, the
-        // worker exits before picking up the rest.
-        assert_eq!(seen, summary.done);
-        assert!(summary.skipped >= 1, "later jobs should stay queued");
-        assert_eq!(summary.done + summary.failed + summary.skipped, jobs.len());
     }
 }

@@ -3,14 +3,10 @@
 //! Bit-parallel logic simulation and simulation-based equivalence checking
 //! for mapped Boolean networks.
 //!
-//! The rewiring engine uses simulation in two ways:
-//!
-//! * **Safety net** — after a batch of rewiring moves, random-vector (and for
-//!   small circuits exhaustive) simulation confirms the network still
-//!   computes the same primary-output functions as the original.
-//! * **Signatures** — per-gate 64-bit-word signatures provide a cheap
-//!   necessary condition for symmetry used by the test-suite to cross-check
-//!   the structural detector.
+//! Its main use is the flow's **safety net**: after an optimizer run,
+//! random-vector (and for small circuits exhaustive) simulation confirms the
+//! network still computes the same primary-output functions as the
+//! original.
 //!
 //! ```
 //! use rapids_netlist::{GateType, NetworkBuilder};
@@ -30,11 +26,9 @@
 //! ```
 
 pub mod equiv;
-pub mod signatures;
 pub mod simulator;
 pub mod vectors;
 
 pub use equiv::{check_equivalence_exhaustive, check_equivalence_random, EquivalenceResult};
-pub use signatures::SignatureTable;
 pub use simulator::Simulator;
 pub use vectors::{exhaustive_words, random_words, PatternSet};

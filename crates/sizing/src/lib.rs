@@ -12,32 +12,32 @@
 //! arrival/required times of the last full analysis), so a pass touches each
 //! gate only with local work; full static timing analysis runs once per pass.
 //!
-//! The same "choose the best implementation of each node from a discrete
-//! candidate set" machinery is reused by `rapids-core` to drive
-//! supergate-based rewiring, exactly as §5 of the paper describes.
+//! The crate sizes for both of the paper's sizing optimizers:
+//! [`GateSizer::optimize_with`] runs GS on the whole network, and
+//! [`GateSizer::optimize_domain`] sizes only the gates that `rapids-core`'s
+//! gsg+GS hands it, those covered by trivial supergates.
 //!
 //! ```
 //! use rapids_celllib::Library;
 //! use rapids_circuits::benchmark;
 //! use rapids_placement::{place, PlacerConfig};
 //! use rapids_sizing::{GateSizer, SizerConfig};
-//! use rapids_timing::TimingConfig;
+//! use rapids_timing::{IncrementalSta, TimingConfig};
 //!
 //! let mut network = benchmark("c432").unwrap();
 //! let library = Library::standard_035um();
 //! let placement = place(&network, &library, &PlacerConfig::fast(), 1);
-//! let outcome = GateSizer::new(SizerConfig::fast())
-//!     .optimize(&mut network, &library, &placement, &TimingConfig::default());
-//! assert!(outcome.final_delay_ns <= outcome.initial_delay_ns);
+//! let timing = TimingConfig::default();
+//! let mut sta = IncrementalSta::new(&network, &library, &placement, &timing);
+//! let initial_ns = sta.report().critical_delay_ns();
+//! let _resized = GateSizer::new(SizerConfig::fast())
+//!     .optimize_with(&mut network, &library, &placement, &timing, &mut sta);
+//! assert!(sta.report().critical_delay_ns() <= initial_ns);
 //! ```
 
 pub mod cancel;
-pub mod neighborhood;
+mod neighborhood;
 pub mod sizer;
 
 pub use cancel::CancelToken;
-pub use neighborhood::{
-    estimated_arrival_cached, estimated_arrival_ns, fanin_min_slack_ns, neighborhood_eval,
-    neighborhood_slack_ns, NeighborhoodEval,
-};
-pub use sizer::{resized_since, size_classes, GateSizer, SizerConfig, SizingOutcome};
+pub use sizer::{GateSizer, SizerConfig};

@@ -1,152 +1,55 @@
 //! Neighborhood (local) timing evaluation.
 //!
-//! Candidate implementation changes — a different drive strength in gate
-//! sizing, or a different pin permutation in supergate rewiring — are scored
-//! without a full timing analysis: the gate and its fan-in drivers are
-//! re-timed against the arrival and required times of the last full STA.
-//! This is the neighborhood search device of Coudert's sizing heuristic that
-//! §5 of the paper adopts.
+//! A candidate drive strength is scored without a full timing analysis:
+//! the gate and its fan-in drivers are re-timed against the arrival and
+//! required times of the last full STA.  This is the neighborhood search
+//! device of Coudert's sizing heuristic that §5 of the paper adopts.
 
 use rapids_celllib::Library;
 use rapids_netlist::{GateId, Network};
 use rapids_placement::Placement;
-use rapids_timing::{gate_output_delay, NetCache, TimingConfig, TimingReport};
+use rapids_timing::{NetCache, TimingConfig, TimingReport};
 
-/// Estimated worst arrival time at the output of `gate`, recomputed from the
-/// frozen arrival times of its fan-ins plus freshly evaluated wire and cell
-/// delays (which therefore reflect any locally changed size classes).
-pub fn estimated_arrival_ns(
-    network: &Network,
-    library: &Library,
-    placement: &Placement,
-    config: &TimingConfig,
-    report: &TimingReport,
-    gate: GateId,
-) -> f64 {
-    let g = network.gate(gate);
-    if g.gtype.is_source() {
-        return 0.0;
-    }
-    let own_delay = gate_output_delay(network, library, placement, config, gate).worst();
-    let mut worst_input = 0.0f64;
-    for &f in &g.fanins {
-        let wire = report.net(f).and_then(|nd| nd.delay_to_ns(gate)).unwrap_or(0.0);
-        worst_input = worst_input.max(report.arrival(f).worst() + wire);
-    }
-    worst_input + own_delay
-}
-
-/// Worst slack over the neighborhood of `gate`: the gate itself and its
-/// logic fan-in drivers, each re-timed with [`estimated_arrival_ns`] against
-/// the required times of the last full analysis.
+/// The neighborhood quantities of one gate, computed in a single sweep over
+/// the gate and its logic fan-in drivers.
 ///
-/// Changing the implementation of `gate` affects its own delay *and* the load
-/// seen by every fan-in driver (their pin capacitance changes), which is why
-/// the fan-ins are part of the neighborhood.
-pub fn neighborhood_slack_ns(
-    network: &Network,
-    library: &Library,
-    placement: &Placement,
-    config: &TimingConfig,
-    report: &TimingReport,
-    gate: GateId,
-) -> f64 {
-    let mut worst = report.required(gate)
-        - estimated_arrival_ns(network, library, placement, config, report, gate);
-    for &f in network.fanins(gate) {
-        if network.gate(f).gtype.is_source() {
-            continue;
-        }
-        let slack_f = report.required(f)
-            - estimated_arrival_ns(network, library, placement, config, report, f);
-        worst = worst.min(slack_f);
-    }
-    worst
-}
-
-/// Worst re-timed slack over the *logic fan-in drivers* of `gate` alone
-/// (`+INF` when every fan-in is a primary input or constant).
-///
-/// The min-slack phase uses this as a do-no-harm constraint: a candidate
-/// implementation of `gate` may load its drivers harder only as long as
-/// none of them falls below the current global worst slack.  Folding the
-/// drivers into a combined minimum instead (as an earlier version did)
-/// deadlocks on uniformly critical paths: every upsize degrades the
-/// equally-critical driver, so the combined minimum can never improve and
-/// no gate past the first ever gets upsized.
-pub fn fanin_min_slack_ns(
-    network: &Network,
-    library: &Library,
-    placement: &Placement,
-    config: &TimingConfig,
-    report: &TimingReport,
-    gate: GateId,
-) -> f64 {
-    let mut worst = f64::INFINITY;
-    for &f in network.fanins(gate) {
-        if network.gate(f).gtype.is_source() {
-            continue;
-        }
-        let slack_f = report.required(f)
-            - estimated_arrival_ns(network, library, placement, config, report, f);
-        worst = worst.min(slack_f);
-    }
-    worst
-}
-
-/// Sum of the neighborhood slacks (used by the relaxation phase, which
-/// maximizes total slack rather than the minimum).
-pub fn neighborhood_total_slack_ns(
-    network: &Network,
-    library: &Library,
-    placement: &Placement,
-    config: &TimingConfig,
-    report: &TimingReport,
-    gate: GateId,
-) -> f64 {
-    let mut total = report.required(gate)
-        - estimated_arrival_ns(network, library, placement, config, report, gate);
-    for &f in network.fanins(gate) {
-        if network.gate(f).gtype.is_source() {
-            continue;
-        }
-        total += report.required(f)
-            - estimated_arrival_ns(network, library, placement, config, report, f);
-    }
-    total
-}
-
-/// All three neighborhood quantities of one gate, computed in a single
-/// sweep.
-///
-/// The separate helpers above re-derive the same estimated arrivals up to
-/// three times per candidate probe; the sizing hot loop uses this combined
-/// form (plus a [`NetCache`]) instead.  Every field is bit-identical to the
-/// corresponding stand-alone helper.
+/// Each member is re-timed from the frozen arrival times of its fan-ins plus
+/// freshly evaluated wire and cell delays (which therefore reflect any
+/// locally changed size classes), against the required times of the last
+/// full analysis.  Changing the implementation of the gate affects its own
+/// delay *and* the load seen by every fan-in driver (their pin capacitance
+/// changes), which is why the fan-ins are part of the neighborhood.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NeighborhoodEval {
-    /// `required − estimated arrival` of the gate itself
-    /// (= [`estimated_arrival_ns`] folded into a slack).
+pub(crate) struct NeighborhoodEval {
+    /// `required − estimated arrival` of the gate itself.
     pub own_slack_ns: f64,
-    /// Worst re-timed slack over the logic fan-in drivers
-    /// (= [`fanin_min_slack_ns`]).
+    /// Worst re-timed slack over the logic fan-in drivers alone (`+INF`
+    /// when every fan-in is a primary input or constant).
+    ///
+    /// The min-slack phase uses this as a do-no-harm constraint: a
+    /// candidate implementation may load its drivers harder only as long as
+    /// none of them falls below the current global worst slack.  Folding
+    /// the drivers into a combined minimum instead deadlocks on uniformly
+    /// critical paths: every upsize degrades the equally-critical driver,
+    /// so the combined minimum can never improve and no gate past the first
+    /// ever gets upsized.
     pub fanin_min_slack_ns: f64,
-    /// Sum of the neighborhood slacks (= [`neighborhood_total_slack_ns`]).
+    /// Sum of the neighborhood slacks (the relaxation phase's tie-breaker).
     pub total_slack_ns: f64,
 }
 
 impl NeighborhoodEval {
-    /// Worst slack over the whole neighborhood
-    /// (= [`neighborhood_slack_ns`]).
-    pub fn min_slack_ns(&self) -> f64 {
+    /// Worst slack over the whole neighborhood.
+    pub(crate) fn min_slack_ns(&self) -> f64 {
         self.own_slack_ns.min(self.fanin_min_slack_ns)
     }
 }
 
-/// [`estimated_arrival_ns`] with the fresh wire/cell delays served from a
-/// [`NetCache`]; bit-identical to the uncached helper as long as the cache's
-/// invalidation protocol was followed.
-pub fn estimated_arrival_cached(
+/// Estimated worst arrival time at the output of `gate`: the frozen arrival
+/// times of its fan-ins plus fresh wire and cell delays served from a
+/// [`NetCache`].  Bit-identical to recomputing those delays from scratch as
+/// long as the cache's invalidation protocol was followed.
+fn estimated_arrival_cached(
     network: &Network,
     library: &Library,
     placement: &Placement,
@@ -168,9 +71,8 @@ pub fn estimated_arrival_cached(
     worst_input + own_delay
 }
 
-/// Computes the full [`NeighborhoodEval`] of one gate in a single sweep over
-/// the gate and its logic fan-in drivers.
-pub fn neighborhood_eval(
+/// Computes the [`NeighborhoodEval`] of one gate.
+pub(crate) fn neighborhood_eval(
     network: &Network,
     library: &Library,
     placement: &Placement,
@@ -201,7 +103,96 @@ mod tests {
     use rapids_celllib::{DriveStrength, Library};
     use rapids_netlist::{GateType, NetworkBuilder};
     use rapids_placement::{place, PlacerConfig};
-    use rapids_timing::Sta;
+    use rapids_timing::{gate_output_delay, Sta};
+
+    // The uncached neighborhood quantities, each derived on its own: the
+    // reference that `neighborhood_eval` must match bit for bit.
+
+    /// `estimated_arrival_cached` without the cache.
+    fn estimated_arrival_ns(
+        network: &Network,
+        library: &Library,
+        placement: &Placement,
+        config: &TimingConfig,
+        report: &TimingReport,
+        gate: GateId,
+    ) -> f64 {
+        let g = network.gate(gate);
+        if g.gtype.is_source() {
+            return 0.0;
+        }
+        let own_delay = gate_output_delay(network, library, placement, config, gate).worst();
+        let mut worst_input = 0.0f64;
+        for &f in &g.fanins {
+            let wire = report.net(f).and_then(|nd| nd.delay_to_ns(gate)).unwrap_or(0.0);
+            worst_input = worst_input.max(report.arrival(f).worst() + wire);
+        }
+        worst_input + own_delay
+    }
+
+    /// Reference for [`NeighborhoodEval::min_slack_ns`].
+    fn neighborhood_slack_ns(
+        network: &Network,
+        library: &Library,
+        placement: &Placement,
+        config: &TimingConfig,
+        report: &TimingReport,
+        gate: GateId,
+    ) -> f64 {
+        let mut worst = report.required(gate)
+            - estimated_arrival_ns(network, library, placement, config, report, gate);
+        for &f in network.fanins(gate) {
+            if network.gate(f).gtype.is_source() {
+                continue;
+            }
+            let slack_f = report.required(f)
+                - estimated_arrival_ns(network, library, placement, config, report, f);
+            worst = worst.min(slack_f);
+        }
+        worst
+    }
+
+    /// Reference for [`NeighborhoodEval::fanin_min_slack_ns`].
+    fn fanin_min_slack_ns(
+        network: &Network,
+        library: &Library,
+        placement: &Placement,
+        config: &TimingConfig,
+        report: &TimingReport,
+        gate: GateId,
+    ) -> f64 {
+        let mut worst = f64::INFINITY;
+        for &f in network.fanins(gate) {
+            if network.gate(f).gtype.is_source() {
+                continue;
+            }
+            let slack_f = report.required(f)
+                - estimated_arrival_ns(network, library, placement, config, report, f);
+            worst = worst.min(slack_f);
+        }
+        worst
+    }
+
+    /// Reference for [`NeighborhoodEval::total_slack_ns`].
+    fn neighborhood_total_slack_ns(
+        network: &Network,
+        library: &Library,
+        placement: &Placement,
+        config: &TimingConfig,
+        report: &TimingReport,
+        gate: GateId,
+    ) -> f64 {
+        let mut total = report.required(gate)
+            - estimated_arrival_ns(network, library, placement, config, report, gate);
+        for &f in network.fanins(gate) {
+            if network.gate(f).gtype.is_source() {
+                continue;
+            }
+            total += report.required(f)
+                - estimated_arrival_ns(network, library, placement, config, report, f);
+        }
+        total
+    }
 
     fn setup() -> (Network, Library, Placement, TimingConfig) {
         let mut b = NetworkBuilder::new("nb");

@@ -1,4 +1,5 @@
-//! The gate sizing optimizer ("GS" in the paper's Table 1).
+//! The gate sizer: "GS" in the paper's Table 1, and the sizing half of
+//! "gsg+GS".
 //!
 //! Timing state is owned by an [`IncrementalSta`]: each phase scores
 //! candidates against the frozen report of the last refresh, and the refresh
@@ -7,6 +8,13 @@
 //! star geometry and Elmore delays of unchanged nets are never recomputed.
 //! Each phase visits its gates in order and applies a gate's best drive
 //! before scoring the next, so every decision sees the earlier ones.
+//!
+//! [`GateSizer::optimize_with`] sizes the whole network (GS);
+//! [`GateSizer::optimize_domain`] sizes only a given set of gates (the
+//! trivially covered gates of gsg+GS).  Both share one per-gate decision,
+//! one visit loop and one undo journal.
+
+use std::collections::HashSet;
 
 use rapids_celllib::Library;
 use rapids_netlist::{GateId, Network};
@@ -17,9 +25,14 @@ use crate::cancel::CancelToken;
 use crate::neighborhood::neighborhood_eval;
 
 /// Gates whose slack is within this margin of the worst slack are critical
-/// and visited by the min-slack phase; the relaxation phase visits the rest,
+/// and visited by GS's min-slack phase; its relaxation phase visits the rest,
 /// ns.
 const CRITICAL_MARGIN_NS: f64 = 0.15;
+
+/// The critical margin of the gsg+GS domain pass, which visits every domain
+/// gate in one loop and scores those past this margin with the relaxation
+/// metric, ns.
+const DOMAIN_CRITICAL_MARGIN_NS: f64 = 0.2;
 
 /// Minimum improvement of the critical-path delay required to start another
 /// pass, ns.
@@ -28,7 +41,8 @@ const CONVERGENCE_THRESHOLD_NS: f64 = 1e-4;
 /// Configuration of the sizing optimizer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizerConfig {
-    /// Maximum number of (min-slack + relaxation) passes.
+    /// Maximum number of passes: (min-slack + relaxation) passes for GS,
+    /// domain passes for gsg+GS.
     pub max_passes: usize,
 }
 
@@ -42,41 +56,6 @@ impl SizerConfig {
     /// A reduced-effort configuration for tests and smoke benchmarks.
     pub fn fast() -> Self {
         SizerConfig { max_passes: 2 }
-    }
-}
-
-/// Summary of one sizing run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SizingOutcome {
-    /// Critical-path delay before optimization, ns.
-    pub initial_delay_ns: f64,
-    /// Critical-path delay after optimization, ns.
-    pub final_delay_ns: f64,
-    /// Total cell area before optimization, µm².
-    pub initial_area_um2: f64,
-    /// Total cell area after optimization, µm².
-    pub final_area_um2: f64,
-    /// Number of gates whose final drive strength differs from the input.
-    pub resized_gates: usize,
-    /// Number of optimization passes executed.
-    pub passes: usize,
-}
-
-impl SizingOutcome {
-    /// Delay improvement as a percentage of the initial delay.
-    pub fn delay_improvement_percent(&self) -> f64 {
-        if self.initial_delay_ns <= 0.0 {
-            return 0.0;
-        }
-        100.0 * (self.initial_delay_ns - self.final_delay_ns) / self.initial_delay_ns
-    }
-
-    /// Area change as a percentage of the initial area (negative = smaller).
-    pub fn area_change_percent(&self) -> f64 {
-        if self.initial_area_um2 <= 0.0 {
-            return 0.0;
-        }
-        100.0 * (self.final_area_um2 - self.initial_area_um2) / self.initial_area_um2
     }
 }
 
@@ -107,30 +86,17 @@ impl GateSizer {
         self
     }
 
-    /// Runs sizing on `network` in place (only `size_class` fields change;
-    /// the structure and the placement are untouched) and reports the
-    /// before/after metrics.
-    pub fn optimize(
-        &self,
-        network: &mut Network,
-        library: &Library,
-        placement: &Placement,
-        timing: &TimingConfig,
-    ) -> SizingOutcome {
-        let mut inc = IncrementalSta::new(network, library, placement, timing);
-        self.optimize_with(network, library, placement, timing, &mut inc)
-    }
-
-    /// Runs sizing against a caller-owned timing engine, leaving `inc`
-    /// current for the final network state.
+    /// Runs GS on `network` in place against a caller-owned timing engine
+    /// and returns the number of gates whose final drive strength differs
+    /// from the input.  Only `size_class` fields change; the structure and
+    /// the placement are untouched.
     ///
-    /// This is the path the rewiring optimizer uses: it already owns an
-    /// [`IncrementalSta`] for the network, so sizing re-uses it instead of
-    /// building a second engine and forcing a redundant full re-analysis
-    /// afterwards.  `inc` must be current for (`network`, `placement`) on
-    /// entry.  Because a dirty-cone update converges bit-identically to a
-    /// full analysis, the decisions — and the resulting QoR — are exactly
-    /// those of [`GateSizer::optimize`].
+    /// `inc` must be current for (`network`, `placement`) on entry, and is
+    /// left current for the final network state, so the caller reads the
+    /// result from `inc.report()` without a second engine or a redundant
+    /// full re-analysis.  Because a dirty-cone update converges
+    /// bit-identically to a full analysis, the decisions do not depend on
+    /// how the engine was brought up to date.
     pub fn optimize_with(
         &self,
         network: &mut Network,
@@ -138,20 +104,16 @@ impl GateSizer {
         placement: &Placement,
         timing: &TimingConfig,
         inc: &mut IncrementalSta,
-    ) -> SizingOutcome {
+    ) -> usize {
         let pass_counter = rapids_obs::metrics::counter("sizer.passes");
         let mut cache = NetCache::for_network(network);
-        let initial_delay_ns = inc.report().critical_delay_ns();
-        let initial_area_um2 = library.network_area_um2(network);
         let initial_classes = size_classes(network);
 
-        let mut best_delay = initial_delay_ns;
-        let mut passes = 0;
+        let mut best_delay = inc.report().critical_delay_ns();
         for _ in 0..self.config.max_passes {
             if self.cancel.is_cancelled() {
                 break;
             }
-            passes += 1;
             pass_counter.inc();
             let _pass_span = rapids_obs::span("sizer.pass");
             // The min-slack phase and the relaxation phase are checkpointed
@@ -197,14 +159,82 @@ impl GateSizer {
 
         let resized_gates = resized_since(network, &initial_classes);
         rapids_obs::metrics::counter("sizer.gates_resized").add(resized_gates as u64);
-        SizingOutcome {
-            initial_delay_ns,
-            final_delay_ns: inc.report().critical_delay_ns(),
-            initial_area_um2,
-            final_area_um2: library.network_area_um2(network),
-            resized_gates,
-            passes,
+        resized_gates
+    }
+
+    /// Sizes only the gates of `domain` (gsg+GS's trivially covered gates)
+    /// and returns the number of gates whose final drive strength differs
+    /// from the input.
+    ///
+    /// Each pass visits the domain's live logic gates worst slack first
+    /// (ties broken by id) in one loop: gates within
+    /// `DOMAIN_CRITICAL_MARGIN_NS` of the worst slack are scored with the
+    /// min-slack metric, the rest with the relaxation metric.  A pass that
+    /// worsens the critical delay is undone and ends the run, as does a pass
+    /// that changes nothing.  `inc` and `cache` are the caller's warm
+    /// engine and net cache; both must be current for (`network`,
+    /// `placement`) on entry and are left current on return.
+    #[allow(clippy::too_many_arguments)]
+    pub fn optimize_domain(
+        &self,
+        network: &mut Network,
+        library: &Library,
+        placement: &Placement,
+        timing: &TimingConfig,
+        domain: &HashSet<GateId>,
+        inc: &mut IncrementalSta,
+        cache: &mut NetCache,
+    ) -> usize {
+        let initial_classes = size_classes(network);
+        for _ in 0..self.config.max_passes {
+            if self.cancel.is_cancelled() {
+                break;
+            }
+            rapids_obs::metrics::counter("optimizer.sizing_passes").inc();
+            let _pass_span = rapids_obs::span("optimizer.sizing_pass");
+            let report = inc.report();
+            let pass_start_delay = report.critical_delay_ns();
+            let worst = report.worst_slack_ns();
+            let mut gates: Vec<GateId> = domain
+                .iter()
+                .copied()
+                .filter(|&g| network.is_live(g) && !network.gate(g).gtype.is_source())
+                .collect();
+            // Tie-break on the id: the list is collected from a `HashSet`,
+            // whose iteration order would otherwise leak into equal-slack
+            // runs and make reports irreproducible.
+            gates.sort_by(|&a, &b| {
+                report.slack(a).total_cmp(&report.slack(b)).then_with(|| a.cmp(&b))
+            });
+            let journal = {
+                let _span = rapids_obs::span("optimizer.sizing_visit");
+                self.visit_gates(
+                    network,
+                    library,
+                    placement,
+                    timing,
+                    report,
+                    cache,
+                    &gates,
+                    worst,
+                    DOMAIN_CRITICAL_MARGIN_NS,
+                )
+            };
+            if journal.is_empty() {
+                break;
+            }
+            let touched: Vec<GateId> = journal.iter().map(|&(g, _)| g).collect();
+            inc.update(network, library, placement, &touched);
+            if inc.report().critical_delay_ns() > pass_start_delay + 1e-9 {
+                rollback(network, cache, &journal);
+                inc.update(network, library, placement, &touched);
+                rapids_obs::metrics::counter("optimizer.rollbacks").inc();
+                break;
+            }
         }
+        let resized_gates = resized_since(network, &initial_classes);
+        rapids_obs::metrics::counter("sizer.gates_resized").add(resized_gates as u64);
+        resized_gates
     }
 
     /// Visits critical gates in order of increasing slack and greedily picks
@@ -229,7 +259,15 @@ impl GateSizer {
             .collect();
         critical.sort_by(|&a, &b| report.slack(a).total_cmp(&report.slack(b)));
         self.visit_gates(
-            network, library, placement, timing, report, cache, &critical, false, worst,
+            network,
+            library,
+            placement,
+            timing,
+            report,
+            cache,
+            &critical,
+            worst,
+            CRITICAL_MARGIN_NS,
         )
     }
 
@@ -252,11 +290,24 @@ impl GateSizer {
             .iter_logic()
             .filter(|&g| report.slack(g) > worst + CRITICAL_MARGIN_NS)
             .collect();
-        self.visit_gates(network, library, placement, timing, report, cache, &relaxed, true, worst)
+        self.visit_gates(
+            network,
+            library,
+            placement,
+            timing,
+            report,
+            cache,
+            &relaxed,
+            worst,
+            CRITICAL_MARGIN_NS,
+        )
     }
 
     /// Decides and applies the best drive strength for every gate in `gates`
-    /// (in order), so each decision is scored against the earlier ones.
+    /// (in order), so each decision is scored against the earlier ones.  A
+    /// gate whose slack exceeds `worst_slack + critical_margin_ns` is scored
+    /// with the relaxation metric, every other gate with the min-slack
+    /// metric (see `decide_best_drive`).
     #[allow(clippy::too_many_arguments)]
     fn visit_gates(
         &self,
@@ -267,11 +318,12 @@ impl GateSizer {
         report: &TimingReport,
         cache: &mut NetCache,
         gates: &[GateId],
-        relaxation: bool,
         worst_slack: f64,
+        critical_margin_ns: f64,
     ) -> SizeJournal {
         let mut journal = SizeJournal::new();
         for &g in gates {
+            let relaxation = report.slack(g) > worst_slack + critical_margin_ns;
             if let Some(best) = decide_best_drive(
                 network,
                 library,
@@ -409,7 +461,7 @@ fn rollback(network: &mut Network, cache: &mut NetCache, journal: &[(GateId, u8)
 
 /// Every live gate's size class, in [`Network::iter_live`] order: the
 /// snapshot a sizing run takes on entry for [`resized_since`].
-pub fn size_classes(network: &Network) -> Vec<u8> {
+fn size_classes(network: &Network) -> Vec<u8> {
     network.iter_live().map(|g| network.gate(g).size_class).collect()
 }
 
@@ -417,7 +469,7 @@ pub fn size_classes(network: &Network) -> Vec<u8> {
 /// [`size_classes`] snapshot of the same structure (sizing never changes
 /// it).  A change that a rolled-back phase or a later pass undid does not
 /// count.
-pub fn resized_since(network: &Network, before: &[u8]) -> usize {
+fn resized_since(network: &Network, before: &[u8]) -> usize {
     network
         .iter_live()
         .zip(before)
@@ -432,6 +484,7 @@ mod tests {
     use rapids_netlist::{GateType, NetworkBuilder};
     use rapids_placement::{place, PlacerConfig};
     use rapids_sim::check_equivalence_random;
+    use rapids_timing::Sta;
 
     fn chain_with_fanout() -> Network {
         let mut b = NetworkBuilder::new("load");
@@ -449,20 +502,33 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Runs GS on `n` with its own engine; returns the critical delay
+    /// before and after, the resized count, and the final engine.
+    fn size(
+        n: &mut Network,
+        lib: &Library,
+        p: &Placement,
+        config: SizerConfig,
+    ) -> (f64, f64, usize, IncrementalSta) {
+        let timing = TimingConfig::default();
+        let mut inc = IncrementalSta::new(n, lib, p, &timing);
+        let initial = inc.report().critical_delay_ns();
+        let resized = GateSizer::new(config).optimize_with(n, lib, p, &timing, &mut inc);
+        let after = inc.report().critical_delay_ns();
+        (initial, after, resized, inc)
+    }
+
     #[test]
     fn sizing_reduces_or_preserves_delay() {
         let mut n = chain_with_fanout();
         let lib = Library::standard_035um();
         let p = place(&n, &lib, &PlacerConfig::fast(), 3);
-        let outcome = GateSizer::new(SizerConfig::default()).optimize(
-            &mut n,
-            &lib,
-            &p,
-            &TimingConfig::default(),
-        );
-        assert!(outcome.final_delay_ns <= outcome.initial_delay_ns + 1e-9);
-        assert!(outcome.passes >= 1);
-        assert!(outcome.delay_improvement_percent() >= 0.0);
+        let (initial, after, resized, inc) = size(&mut n, &lib, &p, SizerConfig::default());
+        assert!(after <= initial + 1e-9);
+        assert!(resized > 0);
+        // The engine is left current for the sized network.
+        let fresh = Sta::analyze(&n, &lib, &p, &TimingConfig::default());
+        assert_eq!(inc.report().critical_delay_ns(), fresh.critical_delay_ns());
     }
 
     #[test]
@@ -471,7 +537,7 @@ mod tests {
         let reference = n.clone();
         let lib = Library::standard_035um();
         let p = place(&n, &lib, &PlacerConfig::fast(), 3);
-        let _ = GateSizer::default().optimize(&mut n, &lib, &p, &TimingConfig::default());
+        let _ = size(&mut n, &lib, &p, SizerConfig::default());
         // Structure unchanged.
         assert_eq!(n.logic_gate_count(), reference.logic_gate_count());
         for g in n.iter_live() {
@@ -487,7 +553,7 @@ mod tests {
         let mut n = chain_with_fanout();
         let lib = Library::standard_035um();
         let p = place(&n, &lib, &PlacerConfig::fast(), 3);
-        let _ = GateSizer::default().optimize(&mut n, &lib, &p, &TimingConfig::default());
+        let _ = size(&mut n, &lib, &p, SizerConfig::default());
         let g3 = n.find_by_name("g3").unwrap();
         assert!(
             n.gate(g3).size_class > 0,
@@ -496,30 +562,26 @@ mod tests {
     }
 
     #[test]
-    fn outcome_percentages_are_consistent() {
-        let outcome = SizingOutcome {
-            initial_delay_ns: 10.0,
-            final_delay_ns: 9.0,
-            initial_area_um2: 1000.0,
-            final_area_um2: 980.0,
-            resized_gates: 5,
-            passes: 2,
-        };
-        assert!((outcome.delay_improvement_percent() - 10.0).abs() < 1e-9);
-        assert!((outcome.area_change_percent() + 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_denominators_do_not_panic() {
-        let outcome = SizingOutcome {
-            initial_delay_ns: 0.0,
-            final_delay_ns: 0.0,
-            initial_area_um2: 0.0,
-            final_area_um2: 0.0,
-            resized_gates: 0,
-            passes: 0,
-        };
-        assert_eq!(outcome.delay_improvement_percent(), 0.0);
-        assert_eq!(outcome.area_change_percent(), 0.0);
+    fn domain_pass_sizes_only_its_domain() {
+        let mut n = chain_with_fanout();
+        let reference = n.clone();
+        let lib = Library::standard_035um();
+        let p = place(&n, &lib, &PlacerConfig::fast(), 3);
+        let timing = TimingConfig::default();
+        let g3 = n.find_by_name("g3").unwrap();
+        let domain: HashSet<GateId> = [g3].into_iter().collect();
+        let mut inc = IncrementalSta::new(&n, &lib, &p, &timing);
+        let mut cache = NetCache::for_network(&n);
+        let initial = inc.report().critical_delay_ns();
+        let resized = GateSizer::default()
+            .optimize_domain(&mut n, &lib, &p, &timing, &domain, &mut inc, &mut cache);
+        assert_eq!(resized, 1, "g3 is the only gate the pass may size");
+        assert!(n.gate(g3).size_class > 0);
+        for g in n.iter_live().filter(|&g| g != g3) {
+            assert_eq!(n.gate(g).size_class, reference.gate(g).size_class);
+        }
+        assert!(inc.report().critical_delay_ns() <= initial + 1e-9);
+        let fresh = Sta::analyze(&n, &lib, &p, &timing);
+        assert_eq!(inc.report().critical_delay_ns(), fresh.critical_delay_ns());
     }
 }

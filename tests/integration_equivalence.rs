@@ -1,11 +1,11 @@
 //! End-to-end functional-safety tests: every optimizer must leave the
 //! benchmark functions bit-identical.  The flow runs through the unified
 //! [`Pipeline`] with its equivalence safety net enabled, and the result is
-//! re-checked here with independent seeds and the signature table.
+//! re-checked here on random patterns with an independent seed.
 
 use rapids_core::OptimizerKind;
 use rapids_flow::{CircuitSource, Pipeline, PipelineConfig};
-use rapids_sim::{check_equivalence_random, SignatureTable};
+use rapids_sim::check_equivalence_random;
 
 fn optimize_and_check(name: &str, kind: OptimizerKind) {
     let pipeline = Pipeline::new(PipelineConfig {
@@ -25,13 +25,6 @@ fn optimize_and_check(name: &str, kind: OptimizerKind) {
     assert!(
         check_equivalence_random(&reference, &report.network, 2048, 0xBEEF).is_equivalent(),
         "{name}/{kind} broke functionality"
-    );
-    // Signature cross-check with a different seed.
-    let sigs = SignatureTable::new(&reference, 512, 99);
-    assert_eq!(
-        sigs.output_signatures(&reference),
-        sigs.output_signatures(&report.network),
-        "{name}/{kind} output signatures diverged"
     );
 }
 

@@ -7,7 +7,7 @@
 use rapids_flow::netlist::blif;
 use rapids_flow::{CircuitSource, Pipeline, PipelineConfig};
 use rapids_serve::report::canonical_sort;
-use rapids_serve::{BatchServer, DesignQor, Engine, Job, JobOutcome, JobReport, JobStatus};
+use rapids_serve::{BatchServer, DesignQor, Engine, Job, JobOutcome, JobReport};
 
 fn fast_server(workers: usize) -> BatchServer {
     BatchServer::new(Engine::new(PipelineConfig::fast()), workers)
@@ -150,10 +150,6 @@ fn poisoned_jobs_fail_while_the_rest_of_the_batch_completes() {
     let summary = server.run_streaming(&jobs, |report| lines.push(report.to_jsonl()));
     assert_eq!(summary.done, 2);
     assert_eq!(summary.failed, 2);
-    assert_eq!(
-        summary.statuses,
-        vec![JobStatus::Done, JobStatus::Failed, JobStatus::Failed, JobStatus::Done]
-    );
 
     canonical_sort(&mut lines);
     let failed: Vec<&String> =
