@@ -122,13 +122,17 @@ echo "==> legalization QoR smoke (ES + row-legal placements)"
 timeout 120 ./target/release/table1 --threads 2 --es --legalize c1908 alu4 x3 \
     --check ci/expected_qor_smoke_legal.json > /dev/null
 
-echo "==> full-suite QoR pins (all 19 rows, default and --es --legalize)"
+echo "==> full-suite QoR pins (all 19 rows, default, --es and --es --legalize)"
 # The smokes above cover three designs with 26-36 output ports; these pin
 # every Table 1 row, including c499, c1355 and s38417 with 256 ports each,
 # so a change to port bookkeeping or cell lookup that moves any row's
-# delay, area or decision counts fails here.  A few seconds in release.
+# delay, area or decision counts fails here.  The --es pin covers the
+# co-located inverter hosting that --legalize replaces with row nudges.
+# A few seconds in release.
 timeout 300 ./target/release/table1 --threads 2 \
     --check ci/expected_qor_full.json > /dev/null
+timeout 300 ./target/release/table1 --threads 2 --es \
+    --check ci/expected_qor_full_es.json > /dev/null
 timeout 300 ./target/release/table1 --threads 2 --es --legalize \
     --check ci/expected_qor_full_es_legal.json > /dev/null
 
@@ -173,8 +177,9 @@ echo "==> full-suite proof (SAT proof of all 19 Table 1 designs after gsg+GS --e
 # must come back proven without the solver (every output pair closes in
 # the structural front end, which maps each swapped supergate to the
 # original's node), and every sweep must refute fewer times than its DAG
-# has nodes.  About 3 s in release, nearly all of it optimization; the
-# timeout guards against a proof falling back to a long solve.
+# has nodes.  Under a second in release once built, nearly all of it
+# optimization; the timeout guards against a proof falling back to a long
+# solve.
 timeout 300 cargo test --release --offline -p rapids-flow --test integration_cec -q -- --ignored
 
 echo "==> result-store smoke (crash-safe disk cache: second run is compute-free, torn tail recovers)"

@@ -19,12 +19,14 @@
 //! candidates against the frozen report of the last refresh (exactly as the
 //! paper's "full analysis once per pass" loop did) and the refresh re-times
 //! only the cones the accepted moves dirtied.  Candidate probes run through
-//! a [`NetCache`]; the supergate extraction and the network's topological
-//! hint are computed once and reused across passes (drive-strength changes
-//! never invalidate them, and non-inverting swaps exchange leaf drivers
-//! without changing any supergate's structure); and per-pass rollback
-//! replays an undo journal of applied swaps instead of restoring a clone of
-//! the whole network.
+//! a [`NetCache`]; the supergate extraction is computed once and reused
+//! across passes (drive-strength changes never invalidate it, and
+//! non-inverting swaps exchange leaf drivers without changing any
+//! supergate's structure); a swap of two leaves of one supergate cannot
+//! close a cycle, so probes, accepts and rollbacks edit the network without
+//! a cycle check (see [`apply_swap`]); and per-pass rollback replays an
+//! undo journal of applied swaps instead of restoring a clone of the whole
+//! network.
 //!
 //! Inverting (ES) swaps are first-class when
 //! [`OptimizerConfig::include_inverting_swaps`] is set: a probe applies the
@@ -268,10 +270,6 @@ impl Optimizer {
         let caller_slots = placement.len();
         let mut placement = placement.clone();
         let placement = &mut placement;
-        // The hint turns the cycle check of every scored swap into an O(1)
-        // position comparison; it is maintained (or dropped and re-proved)
-        // automatically across edits.
-        network.refresh_topo_hint();
         let mut inc = IncrementalSta::new(network, library, placement, timing);
         let initial_delay_ns = inc.report().critical_delay_ns();
         let initial_area_um2 = library.network_area_um2(network);
@@ -409,9 +407,6 @@ impl Optimizer {
             let _pass_span = rapids_obs::span("optimizer.pass");
             best_delay = best_delay.min(inc.report().critical_delay_ns());
             let pass_start_delay = inc.report().critical_delay_ns();
-            if network.topo_hint().is_none() {
-                network.refresh_topo_hint();
-            }
             // Inverting swaps grow the network and restructure supergates;
             // non-inverting swaps only exchange leaf drivers, which
             // `swap_candidates_in` re-reads, so the extraction is reusable.
@@ -614,16 +609,8 @@ fn score_best_swap(
     let mut best: Option<(SwapCandidate, SwapMetric)> = None;
     for candidate in candidates {
         let (da, db) = swap_drivers(network, &candidate);
-        // A legal but order-violating candidate drops the network's
-        // topological hint; since the undo below restores the exact edge
-        // set (and slot count — undone inverters are popped), the snapshot
-        // can be reinstated in O(1) and keeps the cycle precheck fast for
-        // every later candidate.
-        let hint = network.topo_hint_handle();
         let slots_before = placement.len();
-        let Ok(applied) = apply_swap(network, &candidate) else {
-            continue;
-        };
+        let applied = apply_swap(network, &candidate).expect("probing a supergate's swap succeeds");
         // Probes always co-locate (no row model): a probe must not claim a
         // row slot, so only `accept_swap` re-hosts the winner through the
         // model.
@@ -634,9 +621,6 @@ fn score_best_swap(
         undo_swap(network, &applied).expect("undoing a just-applied swap succeeds");
         placement.truncate_slots(slots_before);
         invalidate_swap_nets(cache, network, &candidate, da, db);
-        if let (Some(hint), None) = (hint, network.topo_hint()) {
-            network.reinstate_topo_hint(hint);
-        }
         if metric.improves_on(&baseline) && best.as_ref().is_none_or(|(_, m)| metric.improves_on(m))
         {
             best = Some((candidate, metric));
@@ -697,12 +681,6 @@ fn accept_swap(
     // Invalidated *after* hosting, so the star/Elmore terms every later
     // candidate reads are recomputed against the inverter's real position.
     invalidate_swap_nets(cache, network, candidate, da, db);
-    if network.topo_hint().is_none() {
-        // The accepted swap contradicted the recorded order (inserting an
-        // inverter always does); re-prove it so the remaining candidates
-        // keep their O(1) cycle precheck.
-        network.refresh_topo_hint();
-    }
     journal.push(applied);
 }
 

@@ -50,16 +50,37 @@ impl AppliedSwap {
 
 /// Applies a swap candidate to the network.
 ///
+/// Precondition: both pins are leaves of one supergate of the current
+/// network, as [`swap_candidates_in`](crate::symmetry::swap_candidates_in)
+/// returns them.  The pins are then rewired without a cycle check, because
+/// such a swap cannot close a cycle.  Every non-root member has exactly one
+/// sink pin, inside the supergate, and drives no output port, so every path
+/// leaving a member passes the root.  A simple cycle closed by re-driving
+/// leaf pins would enter the supergate once, through a new edge `d → m`,
+/// and leave it once, through the root.  Its remaining part `root →* d`
+/// then uses no edited edge and existed before the swap, where `d` already
+/// fed a leaf and so reached the root: the old network had a cycle.  An
+/// inserted ES inverter has one sink, a leaf pin, so the same argument
+/// holds.  Debug builds check the precondition in O(supergate depth).
+///
 /// # Errors
 ///
-/// Propagates structural errors (unknown pins, cycles) from the netlist
-/// layer; a candidate produced from a fresh extraction of the same network
-/// never fails.
+/// Propagates structural errors (unknown pins) from the netlist layer; a
+/// candidate that meets the precondition never fails.
 pub fn apply_swap(
     network: &mut Network,
     candidate: &SwapCandidate,
 ) -> Result<AppliedSwap, NetlistError> {
-    network.swap_pin_drivers(candidate.pin_a, candidate.pin_b)?;
+    let da = network.pin_driver(candidate.pin_a)?;
+    let db = network.pin_driver(candidate.pin_b)?;
+    debug_assert!(
+        is_leaf_pair(network, candidate),
+        "swap {candidate:?} does not pair two leaves of the supergate at its root"
+    );
+    // Pin a first, then pin b: the edit order fixes every fan-out list's
+    // order, and with it the order in which the STA folds each net.
+    network.set_pin_driver(candidate.pin_a, db)?;
+    network.set_pin_driver(candidate.pin_b, da)?;
     let mut inverters = Vec::new();
     if candidate.kind == SwapKind::Inverting {
         let inv_a =
@@ -70,6 +91,26 @@ pub fn apply_swap(
         inverters.push(inv_b);
     }
     Ok(AppliedSwap { candidate: *candidate, inverters })
+}
+
+/// `apply_swap`'s precondition, checked in O(supergate depth): each pin's
+/// gate climbs single-sink, port-free gates to the candidate's supergate
+/// root, and neither pin's driver lies on those chains.
+fn is_leaf_pair(network: &Network, candidate: &SwapCandidate) -> bool {
+    let pins = [candidate.pin_a, candidate.pin_b];
+    let mut chains = Vec::new();
+    for pin in pins {
+        let mut g = pin.gate;
+        chains.push(g);
+        while g != candidate.supergate_root {
+            match network.fanouts(g) {
+                [sink] if !network.drives_output(g) => g = *sink,
+                _ => return false,
+            }
+            chains.push(g);
+        }
+    }
+    pins.iter().all(|&pin| network.pin_driver(pin).is_ok_and(|d| !chains.contains(&d)))
 }
 
 /// Undoes a previously applied swap, restoring the original connections and
@@ -85,10 +126,7 @@ pub fn apply_swap(
 /// apply never fails.
 pub fn undo_swap(network: &mut Network, applied: &AppliedSwap) -> Result<(), NetlistError> {
     // Every edge this function rewires restores a journaled, previously
-    // acyclic configuration, so the trusted `restore_pin_driver` applies —
-    // no per-edge reachability DFS, which matters because the ES scorer
-    // undoes every probe it makes (and `insert_inverter` dropped the
-    // topological hint, so the checked path would fall back to full walks).
+    // acyclic configuration, so the unchecked `set_pin_driver` applies.
     if applied.candidate.kind == SwapKind::Inverting {
         // Remove the inverters by reconnecting the pins to the inverter
         // inputs, then sweeping the dangling inverters.
@@ -96,15 +134,15 @@ pub fn undo_swap(network: &mut Network, applied: &AppliedSwap) -> Result<(), Net
             [applied.candidate.pin_a, applied.candidate.pin_b].iter().zip(&applied.inverters)
         {
             let source = network.fanins(inv)[0];
-            network.restore_pin_driver(pin, source)?;
+            network.set_pin_driver(pin, source)?;
             network.remove_if_dangling(inv);
         }
     }
     let da = network.pin_driver(applied.candidate.pin_a)?;
     let db = network.pin_driver(applied.candidate.pin_b)?;
     if da != db {
-        network.restore_pin_driver(applied.candidate.pin_a, db)?;
-        network.restore_pin_driver(applied.candidate.pin_b, da)?;
+        network.set_pin_driver(applied.candidate.pin_a, db)?;
+        network.set_pin_driver(applied.candidate.pin_b, da)?;
     }
     // Retire the tomb-stoned inverter slots while they sit at the tail, so
     // probe sequences do not grow the slot count monotonically.

@@ -2,7 +2,6 @@
 //! and the editing operations needed by rewiring and sizing.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateId, GateType, PinRef};
@@ -38,13 +37,6 @@ pub struct Network {
     fanouts: Vec<Vec<GateId>>,
     inputs: Vec<GateId>,
     outputs: Vec<OutputPort>,
-    /// Topological position per gate slot, when known (see
-    /// [`Network::refresh_topo_hint`]).  An edit that inserts an edge
-    /// violating the recorded order drops the hint; every other edit keeps it
-    /// valid, so cycle checks stay O(1) across long runs of rewiring moves.
-    /// Shared (`Arc`) so callers that apply-then-undo a move can snapshot and
-    /// reinstate it in O(1) — see [`Network::topo_hint_handle`].
-    topo_hint: Option<Arc<Vec<u32>>>,
 }
 
 impl Network {
@@ -56,7 +48,6 @@ impl Network {
             fanouts: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            topo_hint: None,
         }
     }
 
@@ -130,111 +121,7 @@ impl Network {
         let id = GateId(self.gates.len() as u32);
         self.gates.push(gate);
         self.fanouts.push(Vec::new());
-        if let Some(hint) = &mut self.topo_hint {
-            // A fresh gate has no fan-outs, so placing it after every existing
-            // gate keeps the recorded order valid.
-            Arc::make_mut(hint).push(id.0);
-        }
         id
-    }
-
-    // ------------------------------------------------------------------
-    // Topological hint
-    // ------------------------------------------------------------------
-
-    /// Records the current topological order so that subsequent edge edits
-    /// can prove acyclicity with an O(1) position comparison instead of the
-    /// O(V+E) fan-out DFS in [`Network::reaches`].
-    ///
-    /// The hint is maintained automatically: adding a gate extends it, and an
-    /// edit that inserts an edge *violating* the recorded order (legal, but
-    /// no longer consistent with the snapshot) silently drops it, falling
-    /// back to the DFS until it is refreshed.  Returns `false` (and records
-    /// nothing) if the network is cyclic.
-    pub fn refresh_topo_hint(&mut self) -> bool {
-        match crate::topo::topological_order(self) {
-            Some(order) => {
-                let mut pos = vec![u32::MAX; self.gates.len()];
-                for (i, g) in order.iter().enumerate() {
-                    pos[g.index()] = i as u32;
-                }
-                // Tomb-stoned slots keep u32::MAX: they have no edges, so any
-                // position is consistent.
-                self.topo_hint = Some(Arc::new(pos));
-                true
-            }
-            None => {
-                self.topo_hint = None;
-                false
-            }
-        }
-    }
-
-    /// The recorded topological position array, if a valid hint is active
-    /// (indexed by `GateId::index()`; tomb-stoned slots hold `u32::MAX`).
-    pub fn topo_hint(&self) -> Option<&[u32]> {
-        self.topo_hint.as_deref().map(|v| v.as_slice())
-    }
-
-    /// A shareable handle to the active hint, for callers that apply a move,
-    /// evaluate it and undo it: snapshot the handle before the move and hand
-    /// it back via [`Network::reinstate_topo_hint`] after the undo.  O(1).
-    pub fn topo_hint_handle(&self) -> Option<Arc<Vec<u32>>> {
-        self.topo_hint.clone()
-    }
-
-    /// Reinstates a hint previously obtained from
-    /// [`Network::topo_hint_handle`].
-    ///
-    /// Contract: the network's edge set must equal the edge set at the time
-    /// the handle was taken (fan-out list *order* may differ).  This is
-    /// exactly the situation after undoing an applied move; reinstating a
-    /// hint under any other circumstances makes future cycle checks unsound.
-    pub fn reinstate_topo_hint(&mut self, hint: Arc<Vec<u32>>) {
-        debug_assert_eq!(hint.len(), self.gates.len(), "hint predates a network resize");
-        self.topo_hint = Some(hint);
-    }
-
-    /// O(1) acyclicity proof for a prospective edge `driver → sink`: `true`
-    /// when the active hint places the driver strictly before the sink, in
-    /// which case the edge cannot close a cycle (reachability implies order).
-    fn hint_proves_acyclic(&self, driver: GateId, sink: GateId) -> bool {
-        match &self.topo_hint {
-            Some(pos) => pos[driver.index()] < pos[sink.index()],
-            None => false,
-        }
-    }
-
-    /// Like [`Network::reaches`], but prunes the fan-out DFS with the active
-    /// hint: along any path the recorded position strictly increases, so
-    /// nodes positioned after `target` can never lead to it.  Falls back to
-    /// the unpruned walk when no hint is active.
-    fn reaches_pruned(&self, from: GateId, target: GateId) -> bool {
-        let Some(pos) = self.topo_hint.as_deref() else {
-            return self.reaches(from, target);
-        };
-        if from == target {
-            return true;
-        }
-        let bound = pos[target.index()];
-        if pos[from.index()] > bound {
-            return false;
-        }
-        let mut seen = vec![false; self.gates.len()];
-        let mut stack = vec![from];
-        seen[from.index()] = true;
-        while let Some(g) = stack.pop() {
-            for &s in &self.fanouts[g.index()] {
-                if s == target {
-                    return true;
-                }
-                if !seen[s.index()] && pos[s.index()] <= bound {
-                    seen[s.index()] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        false
     }
 
     // ------------------------------------------------------------------
@@ -386,56 +273,38 @@ impl Network {
     ) -> Result<GateId, NetlistError> {
         let old = self.pin_driver(pin)?;
         self.check_live(new_driver)?;
-        if old == new_driver {
-            return Ok(old);
+        if old != new_driver && self.reaches(pin.gate, new_driver) {
+            return Err(NetlistError::WouldCreateCycle { gate: pin.gate, driver: new_driver });
         }
-        if self.hint_proves_acyclic(new_driver, pin.gate) {
-            // The recorded order stays a valid topological order of the
-            // edited graph, so the hint survives this edit.
-        } else {
-            if self.reaches_pruned(pin.gate, new_driver) {
-                return Err(NetlistError::WouldCreateCycle { gate: pin.gate, driver: new_driver });
-            }
-            // Legal edge, but it contradicts the recorded order (or no hint
-            // is active): the snapshot can no longer prove anything.
-            self.topo_hint = None;
-        }
-        self.detach_fanout(old, pin.gate);
-        self.gates[pin.gate.index()].fanins[pin.index] = new_driver;
-        self.fanouts[new_driver.index()].push(pin.gate);
-        Ok(old)
+        self.set_pin_driver(pin, new_driver)
     }
 
     /// Reconnects in-pin `pin` to `new_driver` **without the cycle check**,
-    /// for callers restoring a journaled, known-acyclic edge (undo paths).
-    /// The topological hint survives when it proves the restored edge and is
-    /// dropped otherwise — it is never used to *reject* the edit.
+    /// maintaining fan-out lists, and returns the old driver.
     ///
-    /// Restoring an edge that was not previously present (or any edge whose
-    /// acyclicity the caller cannot vouch for) can corrupt the network with
-    /// a combinational cycle; use [`Network::replace_pin_driver`] for
-    /// speculative edits.
+    /// The caller vouches that the new edge closes no cycle: an undo path
+    /// restoring a journaled edge, or a swap of two leaf pins of one
+    /// supergate (rapids-core's `apply_swap`), which cannot close one.  An
+    /// edge the caller cannot vouch for can corrupt the network with a
+    /// combinational cycle; use [`Network::replace_pin_driver`] for
+    /// arbitrary edits.
     ///
     /// # Errors
     ///
     /// * [`NetlistError::InvalidPinIndex`] if the pin does not exist.
     /// * [`NetlistError::UnknownGate`] if `new_driver` is not live.
-    pub fn restore_pin_driver(
+    pub fn set_pin_driver(
         &mut self,
         pin: PinRef,
         new_driver: GateId,
     ) -> Result<GateId, NetlistError> {
         let old = self.pin_driver(pin)?;
         self.check_live(new_driver)?;
-        if old == new_driver {
-            return Ok(old);
+        if old != new_driver {
+            self.detach_fanout(old, pin.gate);
+            self.gates[pin.gate.index()].fanins[pin.index] = new_driver;
+            self.fanouts[new_driver.index()].push(pin.gate);
         }
-        if !self.hint_proves_acyclic(new_driver, pin.gate) {
-            self.topo_hint = None;
-        }
-        self.detach_fanout(old, pin.gate);
-        self.gates[pin.gate.index()].fanins[pin.index] = new_driver;
-        self.fanouts[new_driver.index()].push(pin.gate);
         Ok(old)
     }
 
@@ -452,22 +321,10 @@ impl Network {
         if da == db {
             return Ok(());
         }
-        if self.hint_proves_acyclic(db, a.gate) && self.hint_proves_acyclic(da, b.gate) {
-            // Both exchanged edges respect the recorded order, so the swapped
-            // graph is acyclic *and* the hint stays valid: rewire directly,
-            // skipping the per-edge checks.
-            self.detach_fanout(da, a.gate);
-            self.gates[a.gate.index()].fanins[a.index] = db;
-            self.fanouts[db.index()].push(a.gate);
-            self.detach_fanout(db, b.gate);
-            self.gates[b.gate.index()].fanins[b.index] = da;
-            self.fanouts[da.index()].push(b.gate);
-            return Ok(());
-        }
         self.replace_pin_driver(a, db)?;
         if let Err(e) = self.replace_pin_driver(b, da) {
             // Roll back the first edit to keep the network consistent.
-            self.replace_pin_driver(a, da).expect("rollback of pin swap cannot fail");
+            self.set_pin_driver(a, da).expect("rollback of pin swap cannot fail");
             return Err(e);
         }
         Ok(())
@@ -515,9 +372,6 @@ impl Network {
         self.detach_fanout(driver, pin.gate);
         self.gates[pin.gate.index()].fanins[pin.index] = inv;
         self.fanouts[inv.index()].push(pin.gate);
-        // The inverter was appended after every existing gate, so the edge
-        // inverter → sink contradicts the recorded order.
-        self.topo_hint = None;
         Ok(inv)
     }
 
@@ -577,9 +431,6 @@ impl Network {
         }
         self.gates.pop();
         self.fanouts.pop();
-        if let Some(hint) = &mut self.topo_hint {
-            Arc::make_mut(hint).pop();
-        }
         true
     }
 
@@ -850,53 +701,6 @@ mod tests {
         n.replace_all_uses(g1, a).unwrap();
         assert_eq!(n.fanins(f)[0], a);
         assert!(n.outputs().iter().all(|o| o.driver != g1));
-        assert!(n.check_consistency().is_ok());
-    }
-
-    #[test]
-    fn topo_hint_survives_order_respecting_edits() {
-        let (mut n, a, _b, c, g1) = small();
-        assert!(n.topo_hint().is_none());
-        assert!(n.refresh_topo_hint());
-        // Reconnecting g1's a-pin to input c respects the topological order
-        // (inputs precede logic), so the hint must survive.
-        n.replace_pin_driver(PinRef::new(g1, 0), c).unwrap();
-        assert!(n.topo_hint().is_some());
-        // And the hint still proves real cycles impossible: connecting f as a
-        // driver of g1 must still be rejected.
-        let f = n.find_by_name("f").unwrap();
-        let err = n.replace_pin_driver(PinRef::new(g1, 0), f).unwrap_err();
-        assert!(matches!(err, NetlistError::WouldCreateCycle { .. }));
-        // Adding a gate extends the hint rather than dropping it.
-        let g2 = n.add_gate(GateType::And, &[a, c], "g2").unwrap();
-        assert_eq!(n.topo_hint().unwrap()[g2.index()], g2.0);
-        assert!(n.check_consistency().is_ok());
-    }
-
-    #[test]
-    fn topo_hint_dropped_by_order_violating_edit() {
-        // f (later slot) becomes the driver of a *new* gate placed even
-        // later, then that gate is wired as driver of g1 (earlier slot):
-        // legal, but contradicts the recorded order.
-        let (mut n, a, _b, _c, g1) = small();
-        assert!(n.refresh_topo_hint());
-        let late = n.add_gate(GateType::Buf, &[a], "late").unwrap();
-        // late is positioned after g1 in the hint but does not reach g1, so
-        // the edge late → g1 is legal yet order-violating.
-        n.replace_pin_driver(PinRef::new(g1, 0), late).unwrap();
-        assert!(n.topo_hint().is_none());
-        assert!(n.check_consistency().is_ok());
-        // Refreshing restores a valid hint.
-        assert!(n.refresh_topo_hint());
-        assert!(n.topo_hint().is_some());
-    }
-
-    #[test]
-    fn topo_hint_dropped_by_inserted_inverter() {
-        let (mut n, _a, _b, _c, g1) = small();
-        assert!(n.refresh_topo_hint());
-        n.insert_inverter(PinRef::new(g1, 0), "inv0").unwrap();
-        assert!(n.topo_hint().is_none());
         assert!(n.check_consistency().is_ok());
     }
 

@@ -123,9 +123,15 @@ fn main() {
             "--timeout-s" => {
                 let value = value_arg(&mut iter, "--timeout-s");
                 match value.parse::<f64>() {
-                    Ok(x) if x.is_finite() && x > 0.0 => timeout_s = Some(x),
+                    // Positive and within what a `Duration` holds.
+                    Ok(x) if x > 0.0 && Duration::try_from_secs_f64(x).is_ok() => {
+                        timeout_s = Some(x)
+                    }
                     _ => {
-                        eprintln!("--timeout-s requires a positive number, got `{value}`");
+                        eprintln!(
+                            "--timeout-s requires positive seconds below about 1.8e19, \
+                             got `{value}`"
+                        );
                         std::process::exit(2);
                     }
                 }

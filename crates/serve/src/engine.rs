@@ -412,33 +412,14 @@ impl Engine {
         // over-deadline job stops at the next pass boundary (or mid-sleep
         // for an injected hang) — never a wedged worker.
         self.optimizer_runs.inc();
-        let run_span = rapids_obs::span("serve.run");
-        let token = CancelToken::new();
-        let watchdog = job.timeout_s.map(|secs| arm_watchdog(&token, secs));
-        let comparison = catch_unwind(AssertUnwindSafe(|| {
-            self.faults
-                .fire(FaultPoint::JobRun, Some(&job.name), Some(&token))
-                .map_err(|e| e.to_string())?;
+        let comparison = self.run_guarded(job, FaultPoint::JobRun, "optimizer", |token| {
             pipeline
-                .compare_optimizers_cancellable(CircuitSource::Mapped(network), &token)
+                .compare_optimizers_cancellable(CircuitSource::Mapped(network), token)
                 .map_err(|e| e.to_string())
-        }));
-        drop(watchdog);
-        drop(run_span);
-        // The deadline verdict comes first: a cancelled run's result — even
-        // a structurally valid one the cooperative stop produced — was cut
-        // short, and reporting it as `done` would cache a truncated QoR.
-        if token.is_cancelled() {
-            rapids_obs::metrics::counter("serve.deadline_cuts").inc();
-            let secs = job.timeout_s.unwrap_or(0.0);
-            return fail(format!("timeout after {secs}s"));
-        }
+        });
         let qor = match comparison {
-            Ok(Ok(comparison)) => DesignQor::from_comparison(&comparison),
-            Ok(Err(e)) => return fail(e),
-            Err(payload) => {
-                return fail(format!("optimizer panicked: {}", panic_message(payload.as_ref())))
-            }
+            Ok(comparison) => DesignQor::from_comparison(&comparison),
+            Err(e) => return fail(e),
         };
 
         // Two workers racing on the same key both compute and both insert;
@@ -520,30 +501,17 @@ impl Engine {
         }
 
         self.verify_runs.inc();
-        let run_span = rapids_obs::span("serve.run");
-        let token = CancelToken::new();
-        let watchdog = job.timeout_s.map(|secs| arm_watchdog(&token, secs));
-        let cec_config = rapids_flow::cec::CecConfig {
-            cancel: Some(token.clone()),
-            ..rapids_flow::cec::CecConfig::default()
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.faults
-                .fire(FaultPoint::Cec, Some(&job.name), Some(&token))
-                .map_err(|e| e.to_string())?;
-            Ok::<_, String>(rapids_flow::cec::check_equivalence(&a, &b, &cec_config))
-        }));
-        drop(watchdog);
-        drop(run_span);
-        if token.is_cancelled() {
-            rapids_obs::metrics::counter("serve.deadline_cuts").inc();
-            let secs = job.timeout_s.unwrap_or(0.0);
-            return fail(format!("timeout after {secs}s"));
-        }
+        let result = self.run_guarded(job, FaultPoint::Cec, "cec", |token| {
+            let cec_config = rapids_flow::cec::CecConfig {
+                cancel: Some(token.clone()),
+                ..rapids_flow::cec::CecConfig::default()
+            };
+            Ok(rapids_flow::cec::check_equivalence(&a, &b, &cec_config))
+        });
         use rapids_flow::cec::CecResult;
         let verdict = match result {
-            Ok(Ok(CecResult::EquivalentProven)) => VerifyVerdict::equivalent(),
-            Ok(Ok(CecResult::NotEquivalent(cex))) => {
+            Ok(CecResult::EquivalentProven) => VerifyVerdict::equivalent(),
+            Ok(CecResult::NotEquivalent(cex)) => {
                 // Cross-confirm the refuting vector on the simulator before
                 // answering; a model that does not replay would be a solver
                 // bug and must surface as a failure, not a bogus verdict.
@@ -558,30 +526,64 @@ impl Engine {
                 }
                 VerifyVerdict::counterexample(cex.input_bits(), cex.output_index)
             }
-            Ok(Ok(CecResult::InterfaceMismatch { inputs, outputs })) => {
+            Ok(CecResult::InterfaceMismatch { inputs, outputs }) => {
                 return fail(format!(
                     "interface mismatch: {}x{} vs {}x{} inputs/outputs",
                     inputs.0, outputs.0, inputs.1, outputs.1
                 ))
             }
-            Ok(Ok(CecResult::Aborted(reason))) => return fail(format!("cec aborted: {reason}")),
-            Ok(Err(e)) => return fail(e),
-            Err(payload) => {
-                return fail(format!("cec panicked: {}", panic_message(payload.as_ref())))
-            }
+            Ok(CecResult::Aborted(reason)) => return fail(format!("cec aborted: {reason}")),
+            Err(e) => return fail(e),
         };
         self.verify_cache.lock().expect("verify cache lock poisoned").insert(key, verdict.clone());
         JobReport { job: job.name.clone(), outcome: JobOutcome::Verified(verdict), cached: false }
+    }
+
+    /// Runs one job's compute step inside a `serve.run` span, under the
+    /// job's deadline and a panic guard: arms the watchdog, fires `point`,
+    /// then runs `work` with the job's cancel token.  A cut deadline
+    /// becomes `timeout after Ns` (counted in `serve.deadline_cuts`)
+    /// whatever `work` returned, and a panic becomes `<what> panicked: …`.
+    fn run_guarded<T>(
+        &self,
+        job: &Job,
+        point: FaultPoint,
+        what: &str,
+        work: impl FnOnce(&CancelToken) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let run_span = rapids_obs::span("serve.run");
+        let token = CancelToken::new();
+        let watchdog = job.timeout_s.map(|secs| arm_watchdog(&token, secs));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.faults.fire(point, Some(&job.name), Some(&token)).map_err(|e| e.to_string())?;
+            work(&token)
+        }));
+        drop(watchdog);
+        drop(run_span);
+        // The deadline verdict comes first: a cancelled run's result — even
+        // a structurally valid one the cooperative stop produced — was cut
+        // short, and reporting it as `done` would cache a truncated QoR.
+        if token.is_cancelled() {
+            rapids_obs::metrics::counter("serve.deadline_cuts").inc();
+            let secs = job.timeout_s.unwrap_or(0.0);
+            return Err(format!("timeout after {secs}s"));
+        }
+        result.unwrap_or_else(|payload| {
+            Err(format!("{what} panicked: {}", panic_message(payload.as_ref())))
+        })
     }
 }
 
 /// A per-job deadline guard: a timer that cancels the job's token when the
 /// deadline passes, and is stopped (on drop) when the job finishes first.
 /// Purely time-based — it never inspects results, so it cannot change what
-/// a within-deadline job reports.
+/// a within-deadline job reports.  Total, because `Job::timeout_s` is a
+/// public field: a deadline that `Duration` cannot hold, or that lies past
+/// `Instant`'s range, never fires.
 fn arm_watchdog(token: &CancelToken, timeout_s: f64) -> Timer {
     let token = token.clone();
-    Timer::spawn(Duration::from_secs_f64(timeout_s), move || {
+    let period = Duration::try_from_secs_f64(timeout_s).unwrap_or(Duration::MAX);
+    Timer::spawn(period, move || {
         token.cancel();
         false
     })
@@ -960,6 +962,20 @@ mod tests {
         assert!(matches!(&report.outcome,
             JobOutcome::Failed(msg) if msg == "timeout after 0.2s"));
         assert_eq!(e.cached_verifications(), 0, "a timed-out check is not cached");
+    }
+
+    #[test]
+    fn oversized_deadline_runs_as_if_absent() {
+        // `Job::timeout_s` is public, so the engine must take a deadline no
+        // `Duration` can hold: the job runs as if it had none.
+        let e = engine();
+        let baseline = e.execute(&Job::suite("c432", e.base_config()));
+        let e2 = engine();
+        let mut job = Job::suite("c432", e2.base_config());
+        job.timeout_s = Some(1e300);
+        let report = e2.execute(&job);
+        assert!(report.is_done() && !report.cached, "unexpected outcome: {:?}", report.outcome);
+        assert_eq!(report.to_jsonl(), baseline.to_jsonl());
     }
 
     #[test]

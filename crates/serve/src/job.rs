@@ -2,6 +2,7 @@
 //! configuration it should be optimized under.
 
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use rapids_core::OptimizerConfig;
 use rapids_flow::placement::PlacerConfig;
@@ -182,8 +183,13 @@ impl Job {
                 "fast" => fast = Some(bool_of(value, key)?),
                 "timeout_s" => {
                     timeout_s = Some(match value.as_num() {
-                        Some(x) if x.is_finite() && x > 0.0 => x,
-                        _ => return Err("`timeout_s` must be a positive number".into()),
+                        // Positive and within what a `Duration` holds.
+                        Some(x) if x > 0.0 && Duration::try_from_secs_f64(x).is_ok() => x,
+                        _ => {
+                            return Err(
+                                "`timeout_s` must be positive seconds below about 1.8e19".into()
+                            )
+                        }
                     });
                 }
                 "es" => config.optimizer.include_inverting_swaps = bool_of(value, key)?,
@@ -287,10 +293,15 @@ mod tests {
         let job = Job::from_spec_line(r#"{"suite":"c432","timeout_s":2.5}"#, &base()).unwrap();
         assert_eq!(job.timeout_s, Some(2.5));
         assert_eq!(Job::from_spec_line(r#"{"suite":"c432"}"#, &base()).unwrap().timeout_s, None);
+        let far = Job::from_spec_line(r#"{"suite":"c432","timeout_s":1e19}"#, &base()).unwrap();
+        assert_eq!(far.timeout_s, Some(1e19), "a deadline past `Instant`'s range still parses");
         for bad in [
             r#"{"suite":"a","timeout_s":0}"#,
             r#"{"suite":"a","timeout_s":-1}"#,
             r#"{"suite":"a","timeout_s":"2"}"#,
+            // Past what a `Duration` holds (about 1.8e19 s).
+            r#"{"suite":"a","timeout_s":1e300}"#,
+            r#"{"suite":"a","timeout_s":2e19}"#,
         ] {
             assert!(Job::from_spec_line(bad, &base()).is_err(), "accepted: {bad}");
         }

@@ -21,7 +21,8 @@ pub(crate) struct Timer {
 impl Timer {
     /// Spawns a thread that calls `fire` one `period` from now, then once
     /// per further `period` for as long as `fire` returns `true` and the
-    /// handle is alive.
+    /// handle is alive.  A firing past `Instant`'s range never comes: the
+    /// thread then only waits to be stopped.
     pub(crate) fn spawn(
         period: Duration,
         mut fire: impl FnMut() -> bool + Send + 'static,
@@ -30,23 +31,27 @@ impl Timer {
         let shared = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
             let (flag, wake) = &*shared;
-            let mut next = Instant::now() + period;
+            let mut next = Instant::now().checked_add(period);
             let mut stopped = flag.lock().expect("timer lock poisoned");
             loop {
                 if *stopped {
                     return;
                 }
+                let Some(due) = next else {
+                    stopped = wake.wait(stopped).expect("timer lock poisoned");
+                    continue;
+                };
                 let now = Instant::now();
-                if now >= next {
+                if now >= due {
                     drop(stopped);
                     if !fire() {
                         return;
                     }
-                    next += period;
+                    next = due.checked_add(period);
                     stopped = flag.lock().expect("timer lock poisoned");
                     continue;
                 }
-                stopped = wake.wait_timeout(stopped, next - now).expect("timer lock poisoned").0;
+                stopped = wake.wait_timeout(stopped, due - now).expect("timer lock poisoned").0;
             }
         });
         Timer { stop, handle: Some(handle) }
@@ -62,5 +67,23 @@ impl Drop for Timer {
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_period_past_instants_range_never_fires_and_stops_promptly() {
+        let mut timer = Timer::spawn(Duration::MAX, || panic!("a timer past range fired"));
+        let start = Instant::now();
+        // Stop it as `Drop` does, but keep the thread's verdict.
+        let (flag, wake) = &*timer.stop;
+        *flag.lock().unwrap() = true;
+        wake.notify_all();
+        let handle = timer.handle.take().expect("a live timer has a thread");
+        assert!(handle.join().is_ok(), "the timer thread panicked");
+        assert!(start.elapsed() < Duration::from_secs(5), "the stop must wake the thread");
     }
 }

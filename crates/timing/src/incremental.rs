@@ -542,7 +542,6 @@ mod tests {
     fn swap_update_matches_full_analysis() {
         let mut n = diamond();
         let (p, lib, cfg) = setup(&n);
-        n.refresh_topo_hint();
         let mut inc = IncrementalSta::new(&n, &lib, &p, &cfg);
         let m1 = n.find_by_name("m1").unwrap();
         let m2 = n.find_by_name("m2").unwrap();

@@ -95,7 +95,6 @@ fn incremental_update_matches_full_sta_after_random_resizes() {
 fn incremental_update_matches_full_sta_after_random_swap_sequences() {
     for (family, mut network) in generator_zoo() {
         let (placement, library, timing) = setup(&network, 9);
-        network.refresh_topo_hint();
         let mut inc = IncrementalSta::new(&network, &library, &placement, &timing);
         let extraction = extract_supergates(&network);
         let mut candidates = Vec::new();

@@ -1,6 +1,6 @@
 //! Property tests for legalized inverting (ES) swaps.
 //!
-//! Three invariants carry the feature:
+//! Four invariants carry the feature:
 //!
 //! 1. **Apply/undo round-trips exactly** — an ES swap grows the network by
 //!    one inverter pair and the undo pops those slots again, so the gate
@@ -14,6 +14,9 @@
 //!    benchmark known to profit, grows the network by exactly one inverter
 //!    pair per applied swap, and passes the random-simulation equivalence
 //!    safety net.
+//! 4. **Supergate swaps cannot close a cycle** — `apply_swap` edits pins
+//!    without a cycle check, so long runs of accepted swaps on a stale
+//!    extraction must leave the network acyclic.
 
 use rapids_circuits::generators::adder::ripple_carry_adder;
 use rapids_circuits::generators::alu::alu;
@@ -26,6 +29,7 @@ use rapids_core::swap::{apply_swap, undo_swap, SwapCandidate, SwapKind};
 use rapids_core::symmetry::swap_candidates_in;
 use rapids_core::{Optimizer, OptimizerConfig, OptimizerKind};
 use rapids_flow::{CircuitSource, Pipeline, PipelineConfig};
+use rapids_netlist::topo::topological_order;
 use rapids_netlist::{GateId, Network};
 use rapids_placement::{place, Placement, PlacerConfig};
 use rapids_sim::check_equivalence_random;
@@ -136,6 +140,45 @@ fn inverting_apply_undo_stays_bit_identical_to_full_sta() {
             );
         }
     }
+}
+
+/// The invariant behind `apply_swap`'s unchecked pin edits, in the
+/// optimizer's in-pass regime stretched to its limit: per family, extract
+/// once, then accept every NES and ES candidate of every non-trivial
+/// supergate in extraction order, with no undo and no re-extraction, hosting
+/// each inverter as the optimizer does.  Every apply must leave the network
+/// acyclic, and the end result must be consistent and equivalent to the
+/// input.
+#[test]
+fn accepted_swap_sequences_stay_acyclic() {
+    let library = rapids_celllib::Library::standard_035um();
+    let (mut plain, mut inverting) = (0usize, 0usize);
+    for (family, mut network) in generator_zoo() {
+        let reference = network.clone();
+        let mut placement = place(&network, &library, &PlacerConfig::fast(), 3);
+        let extraction = extract_supergates(&network);
+        for sg in extraction.supergates().iter().filter(|sg| !sg.is_trivial()) {
+            for candidate in swap_candidates_in(&network, sg, true) {
+                let applied = apply_swap(&mut network, &candidate).unwrap();
+                host_inverters(&network, &mut placement, applied.inserted_inverters());
+                assert!(
+                    topological_order(&network).is_some(),
+                    "{family}: accepting {candidate:?} closed a cycle"
+                );
+                match candidate.kind {
+                    SwapKind::NonInverting => plain += 1,
+                    SwapKind::Inverting => inverting += 1,
+                }
+            }
+        }
+        network.check_consistency().unwrap_or_else(|e| panic!("{family}: {e}"));
+        assert_eq!(placement.len(), network.gate_count(), "{family}: every inverter is hosted");
+        assert!(
+            check_equivalence_random(&reference, &network, 256, 0xac).is_equivalent(),
+            "{family}: the accepted swaps broke the function"
+        );
+    }
+    assert!(plain > 0 && inverting > 0, "both swap kinds ran: {plain} NES, {inverting} ES");
 }
 
 #[test]
