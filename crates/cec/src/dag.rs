@@ -349,12 +349,6 @@ impl Dag {
         }
         words
     }
-
-    /// Scalar evaluation of every node under one input assignment.
-    pub fn evaluate(&self, inputs: &[bool]) -> Vec<bool> {
-        let words: Vec<u64> = inputs.iter().map(|&b| u64::from(b)).collect();
-        self.simulate_words(&words).into_iter().map(|w| w & 1 == 1).collect()
-    }
 }
 
 /// Whether `slit` is a node built over `ops`: neither a constant nor one of

@@ -286,12 +286,13 @@ impl Optimizer {
         let mut gates_resized = 0usize;
         match self.config.kind {
             OptimizerKind::Sizing => {
-                // The sizer drives our own engine, which therefore ends the
-                // run current — no second engine, no redundant full
-                // re-analysis, no stats plumb-through to merge back.
+                // The sizer drives our own engine and net cache, so the
+                // engine ends the run current — no second engine or cache,
+                // no redundant full re-analysis, no stats plumb-through to
+                // merge back.
                 gates_resized = GateSizer::new(self.config.sizer.clone())
                     .with_cancel(self.cancel.clone())
-                    .optimize_with(network, library, placement, timing, &mut inc);
+                    .optimize_with(network, library, placement, timing, &mut inc, &mut cache);
             }
             OptimizerKind::Rewiring => {
                 (swaps_applied, inverting_swaps_applied) = self.rewiring_loop(
@@ -571,7 +572,7 @@ fn invalidate_swap_nets(
     driver_b: GateId,
 ) {
     // Inverting swaps insert gates; make sure their slots exist.
-    cache.ensure_slots(network.gate_count());
+    cache.grow_slots(network.gate_count());
     cache.invalidate_topology(driver_a);
     cache.invalidate_topology(driver_b);
     if candidate.kind == SwapKind::Inverting {
@@ -586,9 +587,12 @@ fn invalidate_swap_nets(
 
 /// Evaluates every swap candidate of one supergate with the neighborhood
 /// metric and returns the best one if it improves on the current wiring.
-/// The network, the placement and the cache's view of them are left exactly
-/// as found: an inverting probe's inserted inverters are popped again on
+/// Every pin keeps its driver and the placement and the cache's view are
+/// restored: an inverting probe's inserted inverters are popped again on
 /// undo and their overlay slots truncated, so the slot count round-trips.
+/// The fan-out lists are not left exactly as found: undoing a probe
+/// removes each pin from its driver's list with `swap_remove` and appends
+/// it again, so a probed driver keeps its sinks in a permuted order.
 #[allow(clippy::too_many_arguments)]
 fn score_best_swap(
     network: &mut Network,

@@ -1,27 +1,18 @@
 //! Ingestion: turning job files, benchmark suites and `.blif` directory
 //! trees into [`Job`] batches with deterministic ordering.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use rapids_flow::netlist::{blif, NetlistError};
 use rapids_flow::PipelineConfig;
 
 use crate::job::Job;
 
-/// Recursively discovers every `*.blif` file under `root` in the shared
-/// loader's deterministic order — a re-export seam over
-/// [`blif::discover_files`], which `table1 --blif-dir` rides too.
-///
-/// # Errors
-///
-/// [`NetlistError::Io`] on the first unreadable directory entry.
-pub fn discover_blif_files(root: impl AsRef<Path>) -> Result<Vec<PathBuf>, NetlistError> {
-    blif::discover_files(root)
-}
-
-/// One job per discovered `.blif` file under `root`, named by the file's
-/// path relative to `root` with the extension stripped (`sub/foo.blif` →
-/// `sub/foo`), so names stay unique and stable across machines.
+/// One job per `.blif` file under `root`, found recursively in the
+/// deterministic order of [`blif::discover_files`] (which
+/// `table1 --blif-dir` uses too) and named by the file's path relative to
+/// `root` with the extension stripped (`sub/foo.blif` → `sub/foo`), so
+/// names stay unique and stable across machines.
 ///
 /// # Errors
 ///
@@ -33,7 +24,7 @@ pub fn jobs_from_blif_dir(
     config: &PipelineConfig,
 ) -> Result<Vec<Job>, NetlistError> {
     let root = root.as_ref();
-    let jobs = discover_blif_files(root)?
+    let jobs = blif::discover_files(root)?
         .into_iter()
         .map(|path| {
             let name = path
@@ -79,6 +70,7 @@ pub fn jobs_from_jsonl(text: &str, config: &PipelineConfig) -> Result<Vec<Job>, 
 mod tests {
     use super::*;
     use crate::job::JobSource;
+    use std::path::PathBuf;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rapids_serve_{tag}_{}", std::process::id()));
@@ -96,7 +88,7 @@ mod tests {
         std::fs::write(dir.join("notes.txt"), "ignored").unwrap();
         std::fs::write(dir.join("sub/inner/c.blif"), ".model c\n.end\n").unwrap();
 
-        let found = discover_blif_files(&dir).unwrap();
+        let found = blif::discover_files(&dir).unwrap();
         let rel: Vec<String> = found
             .iter()
             .map(|p| p.strip_prefix(&dir).unwrap().to_string_lossy().into_owned())
@@ -109,7 +101,7 @@ mod tests {
         assert!(jobs.iter().all(|j| matches!(j.source, JobSource::BlifFile(_))));
 
         std::fs::remove_dir_all(&dir).unwrap();
-        assert!(matches!(discover_blif_files(&dir), Err(NetlistError::Io { .. })));
+        assert!(matches!(blif::discover_files(&dir), Err(NetlistError::Io { .. })));
     }
 
     #[test]

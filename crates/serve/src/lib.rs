@@ -69,7 +69,7 @@ mod timer;
 pub use engine::Engine;
 pub use faults::{FaultAction, FaultPlan, FaultPoint};
 pub use heartbeat::Heartbeat;
-pub use ingest::{discover_blif_files, jobs_from_blif_dir, jobs_from_jsonl, suite_jobs};
+pub use ingest::{jobs_from_blif_dir, jobs_from_jsonl, suite_jobs};
 pub use job::{Job, JobSource};
 pub use journal::Journal;
 pub use report::{DesignQor, JobOutcome, JobReport, VerifyVerdict};

@@ -22,16 +22,17 @@
 //! use rapids_circuits::benchmark;
 //! use rapids_placement::{place, PlacerConfig};
 //! use rapids_sizing::{GateSizer, SizerConfig};
-//! use rapids_timing::{IncrementalSta, TimingConfig};
+//! use rapids_timing::{IncrementalSta, NetCache, TimingConfig};
 //!
 //! let mut network = benchmark("c432").unwrap();
 //! let library = Library::standard_035um();
 //! let placement = place(&network, &library, &PlacerConfig::fast(), 1);
 //! let timing = TimingConfig::default();
 //! let mut sta = IncrementalSta::new(&network, &library, &placement, &timing);
+//! let mut cache = NetCache::for_network(&network);
 //! let initial_ns = sta.report().critical_delay_ns();
 //! let _resized = GateSizer::new(SizerConfig::fast())
-//!     .optimize_with(&mut network, &library, &placement, &timing, &mut sta);
+//!     .optimize_with(&mut network, &library, &placement, &timing, &mut sta, &mut cache);
 //! assert!(sta.report().critical_delay_ns() <= initial_ns);
 //! ```
 

@@ -91,12 +91,15 @@ impl GateSizer {
     /// from the input.  Only `size_class` fields change; the structure and
     /// the placement are untouched.
     ///
-    /// `inc` must be current for (`network`, `placement`) on entry, and is
-    /// left current for the final network state, so the caller reads the
-    /// result from `inc.report()` without a second engine or a redundant
-    /// full re-analysis.  Because a dirty-cone update converges
-    /// bit-identically to a full analysis, the decisions do not depend on
-    /// how the engine was brought up to date.
+    /// `inc` and `cache` are the caller's engine and net cache; both must
+    /// be current for (`network`, `placement`) on entry and are left
+    /// current for the final network state, so the caller reads the result
+    /// from `inc.report()` without a second engine or a redundant full
+    /// re-analysis.  A dirty-cone update matches a full analysis bit for
+    /// bit on every net it refreshes, but a net whose fan-out list an
+    /// earlier edit permuted without touching it keeps parasitics a few
+    /// ulps off a fresh fold, so an exact slack tie can break differently
+    /// than on a freshly built engine.
     pub fn optimize_with(
         &self,
         network: &mut Network,
@@ -104,9 +107,9 @@ impl GateSizer {
         placement: &Placement,
         timing: &TimingConfig,
         inc: &mut IncrementalSta,
+        cache: &mut NetCache,
     ) -> usize {
         let pass_counter = rapids_obs::metrics::counter("sizer.passes");
-        let mut cache = NetCache::for_network(network);
         let initial_classes = size_classes(network);
 
         let mut best_delay = inc.report().critical_delay_ns();
@@ -121,29 +124,23 @@ impl GateSizer {
             // global critical path is rolled back without discarding the
             // delay gains of the min-slack phase.
             let journal_min =
-                self.min_slack_phase(network, library, placement, timing, inc.report(), &mut cache);
+                self.min_slack_phase(network, library, placement, timing, inc.report(), cache);
             let changed_min = journal_min.len();
             let touched_min: Vec<GateId> = journal_min.iter().map(|&(g, _)| g).collect();
             inc.update(network, library, placement, &touched_min);
             let after_min = inc.report().critical_delay_ns();
             if after_min > best_delay + 1e-9 {
-                rollback(network, &mut cache, &journal_min);
+                rollback(network, cache, &journal_min);
                 inc.update(network, library, placement, &touched_min);
                 break;
             }
-            let journal_relax = self.relaxation_phase(
-                network,
-                library,
-                placement,
-                timing,
-                inc.report(),
-                &mut cache,
-            );
+            let journal_relax =
+                self.relaxation_phase(network, library, placement, timing, inc.report(), cache);
             let mut changed_relax = journal_relax.len();
             let touched: Vec<GateId> = journal_relax.iter().map(|&(g, _)| g).collect();
             inc.update(network, library, placement, &touched);
             if inc.report().critical_delay_ns() > after_min + 1e-9 {
-                rollback(network, &mut cache, &journal_relax);
+                rollback(network, cache, &journal_relax);
                 inc.update(network, library, placement, &touched);
                 changed_relax = 0;
             }
@@ -512,8 +509,10 @@ mod tests {
     ) -> (f64, f64, usize, IncrementalSta) {
         let timing = TimingConfig::default();
         let mut inc = IncrementalSta::new(n, lib, p, &timing);
+        let mut cache = NetCache::for_network(n);
         let initial = inc.report().critical_delay_ns();
-        let resized = GateSizer::new(config).optimize_with(n, lib, p, &timing, &mut inc);
+        let resized =
+            GateSizer::new(config).optimize_with(n, lib, p, &timing, &mut inc, &mut cache);
         let after = inc.report().critical_delay_ns();
         (initial, after, resized, inc)
     }

@@ -43,8 +43,10 @@ impl NetCache {
     }
 
     /// Grows the cache to cover at least `slots` gate slots (new entries are
-    /// cold).  Call after edits that add gates, e.g. inverting swaps.
-    pub fn ensure_slots(&mut self, slots: usize) {
+    /// cold).  Call after edits that add gates, e.g. inverting swaps.  It
+    /// never shrinks: a rolled-back inverting swap invalidates its popped
+    /// inverters' nets after the undo.
+    pub fn grow_slots(&mut self, slots: usize) {
         if self.stars.len() < slots {
             self.stars.resize(slots, None);
             self.delays.resize(slots, None);

@@ -5,46 +5,45 @@
 //! the affected fan-out cone (arrivals) and fan-in cone (required times)
 //! changes.  [`IncrementalSta`] owns the arrival/required/parasitic arrays
 //! plus a compiled view of the network (its level-major schedule: gate
-//! order, level map and output mask), and re-times exactly those cones:
+//! order, level map and output mask).  Its constructor runs the one full
+//! analysis, sweeping the shared per-gate kernels over the whole network
+//! exactly as [`Sta::analyze`] does; from then on
+//! [`IncrementalSta::update`] takes the set of gates whose connectivity or
+//! drive strength changed, refreshes their parasitics, and drains a
+//! **level-bucketed dirty frontier**: dirty gates land in per-level
+//! buckets, levels drain lowest-first for arrivals and highest-first for
+//! required times, and each frontier is pruned as soon as a recomputed
+//! value is bit-identical to the stored one.  Because a gate's sinks sit
+//! at strictly higher levels (and its drivers at strictly lower ones), a
+//! bucket can never grow while it drains, and every dirty gate is
+//! evaluated exactly once — no priority queue needed.
 //!
-//! * [`IncrementalSta::full`] recompiles the view and sweeps the shared
-//!   per-gate kernels over the whole network, exactly as [`Sta::analyze`]
-//!   does;
-//! * [`IncrementalSta::update`] takes the set of gates whose connectivity or
-//!   drive strength changed, refreshes their parasitics, and drains a
-//!   **level-bucketed dirty frontier**: dirty gates land in per-level
-//!   buckets, levels drain lowest-first for arrivals and highest-first for
-//!   required times, and each frontier is pruned as soon as a recomputed
-//!   value is bit-identical to the stored one.  Because a gate's sinks sit
-//!   at strictly higher levels (and its drivers at strictly lower ones), a
-//!   bucket can never grow while it drains, and every dirty gate is
-//!   evaluated exactly once — no priority queue needed.
+//! # Compiled-view lifecycle
 //!
-//! # Compiled-view lifecycle (invalidation rules)
+//! The view is a point-in-time snapshot, and `update` keeps one rule: when
+//! the network's slot count changed (inverting swaps appended inverters, or
+//! a rolled-back pass popped them), or a touched gate no longer sits at a
+//! strictly higher level than all its fan-ins or changed whether it drives
+//! an output port, the per-slot arrays are resized to the network and the
+//! view is recompiled — an O(V+E) sort, no parasitic work — before the same
+//! dirty-cone sweeps run.  Checking the touched gates is enough, because
+//! untouched edges kept their compile-time levels; the view holds no
+//! edges, and the kernels read the live network adjacency.
 //!
-//! The view is a point-in-time snapshot; `update` enforces the rules and
-//! debug-asserts them:
-//!
-//! * **growth** (inverting swaps appended gates): the view is recompiled in
-//!   place — an O(V+E) sort, no parasitic work — and the update stays
-//!   incremental;
-//! * **shrink** (a rolled-back pass popped trailing slots): full fallback;
-//! * **local rewires**: the cached *levels* stay usable as a schedule as
-//!   long as every touched gate still sees all its fan-ins at strictly
-//!   lower levels; a violation falls back to a full analysis.  The view
-//!   holds no edges: the kernels read the live network adjacency.
-//!
-//! Because the kernels and fold orders are shared, an update converges to
-//! **bit-identical** state to a from-scratch analysis of the same network —
-//! a property cheap enough to check on the fly: a seeded self-check mode
-//! re-runs the full *reference* analysis ([`Sta::analyze_reference`]) on a
-//! random subset of updates and asserts equality (see
-//! [`IncrementalSta::enable_self_check`]).  The reference runs the same
-//! propagation kernels, which the direct-chaining tests of
-//! [`crate::sta`] pin against textbook per-edge arithmetic, but builds its
-//! parasitics independently (two stars per net), so a defect in the
-//! one-star parasitics or in the dirty-cone scheduling cannot validate
-//! itself.
+//! Because the kernels and fold orders are shared, an update reproduces a
+//! from-scratch analysis of the same network bit for bit, provided every
+//! net whose sink list changed since it was last refreshed — its members
+//! or their order — is covered by the touched set.
+//! [`IncrementalSta::verify_matches_full`] checks that against the
+//! *reference* analysis ([`Sta::analyze_reference`]), which runs the same
+//! propagation kernels, pinned against textbook per-edge arithmetic by the
+//! direct-chaining tests of [`crate::sta`], but builds its parasitics
+//! independently (two stars per net), so a defect in the one-star
+//! parasitics or in the dirty-cone scheduling cannot validate itself.
+//! Inside the optimizers that proviso does not hold exactly: undoing a
+//! candidate probe restores every pin but can leave a driver's fan-out list
+//! permuted, and a net no update refreshes keeps parasitics folded in its
+//! old sink order, within a few ulps of a fresh fold.
 
 use rapids_celllib::Library;
 use rapids_netlist::{GateId, Network};
@@ -58,8 +57,9 @@ use crate::sta::{arrival_of, clamp_required, required_raw_of, Sta, TimingReport}
 /// and perf reporting).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
-    /// Number of from-scratch analyses (constructor, explicit `full` calls
-    /// and automatic fallbacks).
+    /// Number of from-scratch analyses.  Only the constructor runs one, so
+    /// this is 1 for every engine; `perfbench` reports it as
+    /// `timing.full_retimes`.
     pub full_refreshes: usize,
     /// Number of dirty-cone updates that ran incrementally.
     pub incremental_updates: usize,
@@ -91,22 +91,6 @@ impl TimingCounters {
     }
 }
 
-/// Seeded self-check state: every update draws from a small LCG and one in
-/// `one_in` updates is verified against a full analysis.
-#[derive(Debug, Clone, Copy)]
-struct SelfCheck {
-    state: u64,
-    one_in: u32,
-}
-
-impl SelfCheck {
-    fn fires(&mut self) -> bool {
-        // Numerical Recipes LCG; plenty for sampling a check probability.
-        self.state = self.state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.one_in <= 1 || ((self.state >> 33) as u32).is_multiple_of(self.one_in)
-    }
-}
-
 /// Incremental static timing engine.
 ///
 /// Holds a [`TimingReport`] that is kept current across updates; consumers
@@ -122,7 +106,6 @@ pub struct IncrementalSta {
     view: LevelizedView,
     stats: IncrementalStats,
     counters: TimingCounters,
-    self_check: Option<SelfCheck>,
 }
 
 impl IncrementalSta {
@@ -147,18 +130,10 @@ impl IncrementalSta {
             view,
             stats: IncrementalStats { full_refreshes: 1, ..IncrementalStats::default() },
             counters,
-            self_check: None,
         }
     }
 
-    /// Enables the seeded self-check: roughly one in `one_in` updates is
-    /// cross-verified against a full reference analysis (panicking on
-    /// drift).
-    pub fn enable_self_check(&mut self, seed: u64, one_in: u32) {
-        self.self_check = Some(SelfCheck { state: seed, one_in });
-    }
-
-    /// The current timing state.  Valid until the next `update`/`full` call.
+    /// The current timing state.  Valid until the next `update` call.
     pub fn report(&self) -> &TimingReport {
         &self.report
     }
@@ -168,40 +143,12 @@ impl IncrementalSta {
         self.stats
     }
 
-    /// The cached logic level of a gate (0 for sources).
-    pub fn level(&self, gate: GateId) -> u32 {
-        self.view.level_of(gate)
-    }
-
-    /// Recompiles the view for the network's current structure (levels,
-    /// order, output mask) without any parasitic work.
-    fn rebuild_view(&mut self, network: &Network) {
-        self.view =
-            LevelizedView::build(network).expect("incremental timing requires an acyclic network");
-        debug_assert_eq!(
-            self.view.slots(),
-            network.gate_count(),
-            "recompiled view must cover every slot of the grown network"
-        );
-    }
-
-    /// Re-times the whole network from scratch (recompiling the view and
-    /// sweeping it).  Use after structural edits too
-    /// large or too irregular to describe as a touched set (e.g. redirected
-    /// output ports).
-    pub fn full(&mut self, network: &Network, library: &Library, placement: &Placement) {
-        let _span = rapids_obs::span("sta.full");
-        self.rebuild_view(network);
-        self.report = analyze_with_view(&self.view, network, library, placement, &self.config);
-        self.stats.full_refreshes += 1;
-        self.counters.full_refreshes.inc();
-    }
-
-    /// `true` if the compiled levels are still a valid schedule around the
-    /// touched gates: every touched gate is covered and sees all its
-    /// fan-ins at strictly lower levels.  (Level validity at the touched
-    /// gates implies the level-major order is still a topological order —
-    /// untouched edges kept their compile-time levels.)
+    /// `true` if the compiled view still schedules the touched gates: every
+    /// touched gate is covered, sees all its fan-ins at strictly lower
+    /// levels, and drives an output port exactly when the view says so.
+    /// (Level validity at the touched gates implies the level-major order
+    /// is still a topological order — untouched edges kept their
+    /// compile-time levels.)
     fn view_still_valid(&self, network: &Network, touched: &[GateId]) -> bool {
         touched.iter().all(|&g| {
             if !network.is_live(g) {
@@ -209,6 +156,7 @@ impl IncrementalSta {
             }
             let lg = self.view.level_of(g);
             lg != u32::MAX
+                && self.view.drives_output(g) == network.drives_output(g)
                 && network.fanins(g).iter().all(|f| {
                     let lf = self.view.level_of(*f);
                     lf != u32::MAX && lf < lg
@@ -218,23 +166,23 @@ impl IncrementalSta {
 
     /// Dirty-cone update after a batch of local moves.
     ///
-    /// `touched` must contain every gate whose fan-in list, fan-out set or
-    /// drive strength changed since the last `update`/`full` call.  A pin
-    /// swap touches the two pins' gates (their old and new drivers are then
-    /// covered automatically, because both remain fan-ins of the touched
-    /// pair); a resize touches the resized gate; an inverting swap
+    /// `touched` must contain every gate whose fan-in list, fan-out set,
+    /// drive strength or output ports changed since the last `update`.  A
+    /// pin swap touches the two pins' gates (their old and new drivers are
+    /// then covered automatically, because both remain fan-ins of the
+    /// touched pair); a resize touches the resized gate; an inverting swap
     /// additionally touches the inserted inverters (their fan-ins — the
     /// exchanged drivers, whose sink sets changed — are then covered
-    /// automatically too).  Duplicates and tomb-stoned ids are fine.
+    /// automatically too).  Duplicates and tomb-stoned or popped ids are
+    /// fine.
     ///
-    /// A network that **grew** since the last refresh (inverting swaps
-    /// inserted inverters) stays on the incremental path: the per-slot
-    /// arrays are extended with neutral values, the view is recompiled (an
-    /// O(V+E) sort, no parasitic work), and the new gates are timed by the
-    /// ordinary dirty-cone sweeps.  Only a network that *shrank* (a
-    /// rolled-back pass popped its inverters) or an edit that invalidated
-    /// the compiled levels around the touched gates falls back to a full
-    /// analysis.
+    /// Every edit takes this one path.  When the slot count changed
+    /// (inverting swaps inserted inverters, or a rolled-back pass popped
+    /// them) or the compiled view no longer schedules the touched gates,
+    /// the per-slot arrays are first resized to the network — new slots
+    /// neutral, popped slots dropped — and the view is recompiled (an
+    /// O(V+E) sort, no parasitic work); the ordinary dirty-cone sweeps then
+    /// time the edit.
     pub fn update(
         &mut self,
         network: &Network,
@@ -246,19 +194,11 @@ impl IncrementalSta {
             return;
         }
         let _span = rapids_obs::span("sta.update");
-        if network.gate_count() > self.view.slots() {
-            self.report.ensure_slots(network.gate_count());
-            self.rebuild_view(network);
-        } else if network.gate_count() < self.view.slots()
-            || !self.view_still_valid(network, touched)
-        {
-            self.full(network, library, placement);
-            return;
+        if network.gate_count() != self.view.slots() || !self.view_still_valid(network, touched) {
+            self.report.resize_slots(network.gate_count());
+            self.view = LevelizedView::build(network)
+                .expect("incremental timing requires an acyclic network");
         }
-        debug_assert!(
-            self.view_still_valid(network, touched),
-            "compiled view must be valid on the incremental path"
-        );
         self.stats.incremental_updates += 1;
         self.counters.incremental_updates.inc();
         let slots = self.view.slots();
@@ -419,13 +359,6 @@ impl IncrementalSta {
                 }
             }
         }
-
-        if let Some(check) = &mut self.self_check {
-            if check.fires() {
-                self.verify_matches_full(network, library, placement)
-                    .expect("incremental timing drifted from the full analysis");
-            }
-        }
     }
 
     /// Cross-checks the incremental state against a from-scratch analysis
@@ -515,7 +448,6 @@ mod tests {
         let inc = IncrementalSta::new(&n, &lib, &p, &cfg);
         assert!(inc.verify_matches_full(&n, &lib, &p).is_ok());
         assert_eq!(inc.stats().full_refreshes, 1);
-        assert!(n.iter_live().all(|g| inc.level(g) != u32::MAX));
     }
 
     #[test]
@@ -597,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn shrunk_network_falls_back_to_full() {
+    fn shrunk_network_stays_incremental() {
         let mut n = diamond();
         let (mut p, lib, cfg) = setup(&n);
         let mut inc = IncrementalSta::new(&n, &lib, &p, &cfg);
@@ -607,31 +539,36 @@ mod tests {
         p.host_at(inv, p.position(driver));
         inc.update(&n, &lib, &p, &[m1, inv]);
         // Undo the insertion and pop the slot: the arrays are now longer
-        // than the network, which must trigger the full fallback.
+        // than the network, so the update truncates them.
         n.replace_pin_driver(PinRef::new(m1, 0), driver).unwrap();
         assert!(n.remove_if_dangling(inv));
         assert!(n.pop_trailing_tombstone());
         p.truncate_slots(n.gate_count());
         inc.update(&n, &lib, &p, &[m1, inv]);
-        assert_eq!(inc.stats().full_refreshes, 2);
+        assert_eq!(inc.stats().full_refreshes, 1, "shrinking must not force a full analysis");
+        assert_eq!(inc.stats().incremental_updates, 2);
+        assert!(!inc.report().covers(inv), "the popped slot leaves the report");
         inc.verify_matches_full(&n, &lib, &p).unwrap();
     }
 
     #[test]
-    fn self_check_passes_over_random_resizes() {
+    fn level_violating_rewire_stays_incremental() {
         let mut n = diamond();
         let (p, lib, cfg) = setup(&n);
         let mut inc = IncrementalSta::new(&n, &lib, &p, &cfg);
-        inc.enable_self_check(0xfeed, 1);
-        let classes = [DriveStrength::X1, DriveStrength::X2, DriveStrength::X4, DriveStrength::X8];
-        let gates: Vec<_> = n.iter_logic().collect();
-        let mut rng = 0x12345u64;
-        for step in 0..24 {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let g = gates[(rng >> 33) as usize % gates.len()];
-            let c = classes[(step as usize) % classes.len()];
-            n.gate_mut(g).size_class = c.size_class();
-            inc.update(&n, &lib, &p, &[g]);
-        }
+        let n1 = n.find_by_name("n1").unwrap();
+        let n2 = n.find_by_name("n2").unwrap();
+        let c = n.find_by_name("c").unwrap();
+        // n1 and n2 both sit at level 1, so n2 reading n1 breaks the
+        // compiled levels; c loses its only sink.
+        n.replace_pin_driver(PinRef::new(n2, 0), n1).unwrap();
+        inc.update(&n, &lib, &p, &[n2, c]);
+        assert_eq!(
+            inc.stats().full_refreshes,
+            1,
+            "a level violation must not force a full analysis"
+        );
+        assert_eq!(inc.stats().incremental_updates, 1);
+        inc.verify_matches_full(&n, &lib, &p).unwrap();
     }
 }

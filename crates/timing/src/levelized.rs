@@ -18,19 +18,13 @@
 //!
 //! # View lifecycle
 //!
-//! A view is valid for the structure it was built from.  The rules,
-//! asserted in debug builds by the consumers:
-//!
-//! * **full analysis** ([`analyze`],
-//!   [`IncrementalSta::full`](crate::IncrementalSta::full)) always
-//!   rebuilds the view;
-//! * **growth** (inverting swaps appended gates) rebuilds the view in place
-//!   with no parasitic work;
-//! * **local edits** (pin swaps, resizes) leave the view's levels usable as
-//!   a schedule: the incremental engine verifies `level(fanin) <
-//!   level(gate)` for every touched gate and falls back to a full rebuild
-//!   on violation.  Neither edit moves an output port, so the output mask
-//!   stays exact; the kernels read every edge from the live network.
+//! A view is valid for the structure it was built from: its slot count,
+//! the level of every gate and the output mask.  A full analysis
+//! ([`analyze`]) compiles a fresh one; the incremental engine keeps its view
+//! across edits and recompiles it whenever the slot count changed or a
+//! touched gate no longer sits above all its fan-ins or changed whether it
+//! drives an output port (see [`crate::incremental`]).  The kernels read
+//! every edge from the live network, so nothing else in a view goes stale.
 //!
 //! Every value this sweep produces is bit-identical to the reference
 //! analyzer ([`Sta::analyze_reference`](crate::Sta::analyze_reference)):

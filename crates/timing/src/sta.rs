@@ -10,8 +10,9 @@
 //! plain topological order.  The reference builds its own parasitics (two
 //! stars per net) and is the executable specification the other two are
 //! verified against; the kernels themselves are pinned against textbook
-//! per-edge chaining by this module's tests.  All three produce
-//! bit-identical [`TimingReport`]s.
+//! per-edge chaining by this module's tests.  The two full analyses produce
+//! bit-identical [`TimingReport`]s, and so does an update whose touched set
+//! covers every net whose sink list changed (see [`crate::incremental`]).
 //!
 //! Required times keep the textbook min-propagation form (so results are
 //! bit-identical to the historical analyzer), stored twice: the *raw* value
@@ -115,14 +116,12 @@ impl TimingReport {
         gate.index() < self.arrival.len()
     }
 
-    /// Extends every per-slot array to cover at least `slots` gate slots.
-    /// New slots hold the neutral values a from-scratch analysis would start
-    /// from (zero arrivals, `+INF` raw required times, empty parasitics);
-    /// the incremental engine then times them like any other dirty gate.
-    pub(crate) fn ensure_slots(&mut self, slots: usize) {
-        if self.arrival.len() >= slots {
-            return;
-        }
+    /// Resizes every per-slot array to exactly `slots` gate slots.  Slots
+    /// past `slots` are dropped (a rolled-back pass popped their gates); new
+    /// slots hold the neutral values a from-scratch analysis would start
+    /// from (zero arrivals, `+INF` raw required times, empty parasitics),
+    /// and the incremental engine then times them like any other dirty gate.
+    pub(crate) fn resize_slots(&mut self, slots: usize) {
         self.arrival.resize(slots, ArrivalTime::default());
         self.required.resize(slots, self.required_time_ns);
         self.required_raw.resize(slots, f64::INFINITY);
@@ -233,7 +232,7 @@ impl Sta {
     /// parasitics are built from one star, and the shared per-gate kernels
     /// sweep the schedule forward for arrivals and backward for required
     /// times.  The result is bit-identical to [`Sta::analyze_reference`]
-    /// (the seeded property suites and the incremental self-check enforce
+    /// (the seeded property suites and the `sta_kernel` smoke enforce
     /// this).
     ///
     /// # Panics
